@@ -1,4 +1,3 @@
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -41,16 +40,17 @@ class DirectGatherImpl final : public CollImplBase {
   void begin(Image& image) override {
     started_ = true;
     if (team_rank() == desc().root) {
-      std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                      static_cast<std::size_t>(team_rank()) * desc().bytes,
-                  desc().buf, desc().bytes);
+      copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                     static_cast<std::size_t>(team_rank()) * desc().bytes,
+                 desc().buf, desc().bytes);
       for (auto& [from, data] : pending_) {
         place(from, data);
       }
       pending_.clear();
       maybe_done(image);
     } else {
-      send_stage(image, desc().root, 0, desc().buf, desc().bytes);
+      send_stage(image, desc().root, 0,
+                 net::SharedBytes::copy_of(desc().buf, desc().bytes));
       mark_data_done(image, /*after_stages=*/true);
     }
   }
@@ -72,11 +72,11 @@ class DirectGatherImpl final : public CollImplBase {
   }
 
  private:
-  void place(int from, const std::vector<std::uint8_t>& data) {
+  void place(int from, const net::SharedBytes& data) {
     CAF2_ASSERT(data.size() == desc().bytes, "direct gather size mismatch");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    static_cast<std::size_t>(from) * desc().bytes,
-                data.data(), data.size());
+    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                   static_cast<std::size_t>(from) * desc().bytes,
+               data.data(), data.size());
     ++received_;
   }
 
@@ -88,7 +88,7 @@ class DirectGatherImpl final : public CollImplBase {
 
   bool started_ = false;
   int received_ = 0;
-  std::vector<std::pair<int, std::vector<std::uint8_t>>> pending_;
+  std::vector<std::pair<int, net::SharedBytes>> pending_;
 };
 
 /// Direct scatter: the root sends each member its chunk directly.
@@ -103,13 +103,14 @@ class DirectScatterImpl final : public CollImplBase {
       const auto* in = static_cast<const std::uint8_t*>(desc().buf);
       for (int r = 0; r < team_size(); ++r) {
         if (r == team_rank()) {
-          std::memcpy(desc().buf2,
-                      in + static_cast<std::size_t>(r) * desc().bytes2,
-                      desc().bytes2);
-        } else {
-          send_stage(image, r, 0,
+          copy_bytes(desc().buf2,
                      in + static_cast<std::size_t>(r) * desc().bytes2,
                      desc().bytes2);
+        } else {
+          send_stage(image, r, 0,
+                     net::SharedBytes::copy_of(
+                         in + static_cast<std::size_t>(r) * desc().bytes2,
+                         desc().bytes2));
         }
       }
       have_chunk_ = true;
@@ -133,7 +134,7 @@ class DirectScatterImpl final : public CollImplBase {
   void deliver(Image& image) {
     CAF2_ASSERT(chunk_.size() == desc().bytes2,
                 "direct scatter size mismatch");
-    std::memcpy(desc().buf2, chunk_.data(), chunk_.size());
+    copy_bytes(desc().buf2, chunk_.data(), chunk_.size());
     have_chunk_ = true;
     pending_chunk_ = false;
     mark_data_done(image);
@@ -142,7 +143,7 @@ class DirectScatterImpl final : public CollImplBase {
   bool started_ = false;
   bool have_chunk_ = false;
   bool pending_chunk_ = false;
-  std::vector<std::uint8_t> chunk_;
+  net::SharedBytes chunk_;
 };
 
 /// Direct allgather: everyone sends its block to everyone else.
@@ -153,12 +154,15 @@ class DirectAllgatherImpl final : public CollImplBase {
  protected:
   void begin(Image& image) override {
     started_ = true;
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    static_cast<std::size_t>(team_rank()) * desc().bytes,
-                desc().buf, desc().bytes);
+    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                   static_cast<std::size_t>(team_rank()) * desc().bytes,
+               desc().buf, desc().bytes);
+    // One snapshot serves all p-1 destinations.
+    const net::SharedBytes block =
+        net::SharedBytes::copy_of(desc().buf, desc().bytes);
     for (int r = 0; r < team_size(); ++r) {
       if (r != team_rank()) {
-        send_stage(image, r, 0, desc().buf, desc().bytes);
+        send_stage(image, r, 0, block);
       }
     }
     for (auto& [from, data] : pending_) {
@@ -182,12 +186,12 @@ class DirectAllgatherImpl final : public CollImplBase {
   }
 
  private:
-  void place(int from, const std::vector<std::uint8_t>& data) {
+  void place(int from, const net::SharedBytes& data) {
     CAF2_ASSERT(data.size() == desc().bytes,
                 "direct allgather size mismatch");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    static_cast<std::size_t>(from) * desc().bytes,
-                data.data(), data.size());
+    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                   static_cast<std::size_t>(from) * desc().bytes,
+               data.data(), data.size());
     ++received_;
   }
 
@@ -199,7 +203,7 @@ class DirectAllgatherImpl final : public CollImplBase {
 
   bool started_ = false;
   int received_ = 0;
-  std::vector<std::pair<int, std::vector<std::uint8_t>>> pending_;
+  std::vector<std::pair<int, net::SharedBytes>> pending_;
 };
 
 /// Direct reduce-scatter: rank r sends chunk j of its contribution to rank
@@ -218,8 +222,9 @@ class DirectReduceScatterImpl final : public CollImplBase {
     for (int r = 0; r < team_size(); ++r) {
       if (r != team_rank()) {
         send_stage(image, r, 0,
-                   in + static_cast<std::size_t>(r) * desc().bytes2,
-                   desc().bytes2);
+                   net::SharedBytes::copy_of(
+                       in + static_cast<std::size_t>(r) * desc().bytes2,
+                       desc().bytes2));
       }
     }
     for (auto& data : pending_) {
@@ -243,7 +248,7 @@ class DirectReduceScatterImpl final : public CollImplBase {
   }
 
  private:
-  void fold(const std::vector<std::uint8_t>& data) {
+  void fold(const net::SharedBytes& data) {
     CAF2_ASSERT(data.size() == desc().bytes2,
                 "direct reduce-scatter size mismatch");
     desc().reducer.combine(acc_.data(), data.data(),
@@ -253,7 +258,7 @@ class DirectReduceScatterImpl final : public CollImplBase {
 
   void maybe_done(Image& image) {
     if (received_ == team_size() - 1) {
-      std::memcpy(desc().buf2, acc_.data(), acc_.size());
+      copy_bytes(desc().buf2, acc_.data(), acc_.size());
       mark_data_done(image, /*after_stages=*/true);
     }
   }
@@ -261,7 +266,7 @@ class DirectReduceScatterImpl final : public CollImplBase {
   bool started_ = false;
   int received_ = 0;
   std::vector<std::uint8_t> acc_;
-  std::vector<std::vector<std::uint8_t>> pending_;
+  std::vector<net::SharedBytes> pending_;
 };
 
 /// Variable-count gather: desc().counts (root only) carries per-rank byte
@@ -274,16 +279,17 @@ class GathervImpl final : public CollImplBase {
   void begin(Image& image) override {
     started_ = true;
     if (team_rank() == desc().root) {
-      std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                      displacement(desc().counts, team_rank()),
-                  desc().buf, desc().bytes);
+      copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                     displacement(desc().counts, team_rank()),
+                 desc().buf, desc().bytes);
       for (auto& [from, data] : pending_) {
         place(from, data);
       }
       pending_.clear();
       maybe_done(image);
     } else {
-      send_stage(image, desc().root, 0, desc().buf, desc().bytes);
+      send_stage(image, desc().root, 0,
+                 net::SharedBytes::copy_of(desc().buf, desc().bytes));
       mark_data_done(image, /*after_stages=*/true);
     }
   }
@@ -305,12 +311,12 @@ class GathervImpl final : public CollImplBase {
   }
 
  private:
-  void place(int from, const std::vector<std::uint8_t>& data) {
+  void place(int from, const net::SharedBytes& data) {
     CAF2_ASSERT(data.size() == desc().counts[static_cast<std::size_t>(from)],
                 "gatherv: contribution does not match the root's count");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    displacement(desc().counts, from),
-                data.data(), data.size());
+    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                   displacement(desc().counts, from),
+               data.data(), data.size());
     ++received_;
   }
 
@@ -322,7 +328,7 @@ class GathervImpl final : public CollImplBase {
 
   bool started_ = false;
   int received_ = 0;
-  std::vector<std::pair<int, std::vector<std::uint8_t>>> pending_;
+  std::vector<std::pair<int, net::SharedBytes>> pending_;
 };
 
 /// Variable-count scatter: the root slices its buffer by desc().counts;
@@ -340,9 +346,10 @@ class ScattervImpl final : public CollImplBase {
         const std::size_t bytes = desc().counts[static_cast<std::size_t>(r)];
         const std::size_t offset = displacement(desc().counts, r);
         if (r == team_rank()) {
-          std::memcpy(desc().buf2, in + offset, bytes);
+          copy_bytes(desc().buf2, in + offset, bytes);
         } else {
-          send_stage(image, r, 0, in + offset, bytes);
+          send_stage(image, r, 0,
+                     net::SharedBytes::copy_of(in + offset, bytes));
         }
       }
       have_chunk_ = true;
@@ -366,7 +373,7 @@ class ScattervImpl final : public CollImplBase {
   void deliver(Image& image) {
     CAF2_ASSERT(chunk_.size() == desc().bytes2,
                 "scatterv: chunk does not match this rank's receive extent");
-    std::memcpy(desc().buf2, chunk_.data(), chunk_.size());
+    copy_bytes(desc().buf2, chunk_.data(), chunk_.size());
     have_chunk_ = true;
     pending_chunk_ = false;
     mark_data_done(image);
@@ -375,7 +382,7 @@ class ScattervImpl final : public CollImplBase {
   bool started_ = false;
   bool have_chunk_ = false;
   bool pending_chunk_ = false;
-  std::vector<std::uint8_t> chunk_;
+  net::SharedBytes chunk_;
 };
 
 /// Variable-count all-to-all: desc().counts = per-destination send bytes,
@@ -393,14 +400,16 @@ class AlltoallvImpl final : public CollImplBase {
     CAF2_ASSERT(desc().counts[static_cast<std::size_t>(r)] ==
                     desc().counts2[static_cast<std::size_t>(r)],
                 "alltoallv: send/recv counts disagree for the local pair");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    displacement(desc().counts2, r),
-                in + displacement(desc().counts, r),
-                desc().counts[static_cast<std::size_t>(r)]);
+    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                   displacement(desc().counts2, r),
+               in + displacement(desc().counts, r),
+               desc().counts[static_cast<std::size_t>(r)]);
     for (int to = 0; to < team_size(); ++to) {
       if (to != r) {
-        send_stage(image, to, 0, in + displacement(desc().counts, to),
-                   desc().counts[static_cast<std::size_t>(to)]);
+        send_stage(image, to, 0,
+                   net::SharedBytes::copy_of(
+                       in + displacement(desc().counts, to),
+                       desc().counts[static_cast<std::size_t>(to)]));
       }
     }
     for (auto& [from, data] : pending_) {
@@ -424,13 +433,13 @@ class AlltoallvImpl final : public CollImplBase {
   }
 
  private:
-  void place(int from, const std::vector<std::uint8_t>& data) {
+  void place(int from, const net::SharedBytes& data) {
     CAF2_ASSERT(data.size() ==
                     desc().counts2[static_cast<std::size_t>(from)],
                 "alltoallv: arrival does not match the receive count");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    displacement(desc().counts2, from),
-                data.data(), data.size());
+    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                   displacement(desc().counts2, from),
+               data.data(), data.size());
     ++received_;
   }
 
@@ -442,7 +451,7 @@ class AlltoallvImpl final : public CollImplBase {
 
   bool started_ = false;
   int received_ = 0;
-  std::vector<std::pair<int, std::vector<std::uint8_t>>> pending_;
+  std::vector<std::pair<int, net::SharedBytes>> pending_;
 };
 
 }  // namespace

@@ -1,5 +1,4 @@
 #include <bit>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -44,11 +43,12 @@ class RdAllreduceImpl final : public CollImplBase {
     rem_ = p - pow_;
     rounds_ = ceil_log2(pow_);
     acc_.resize(desc().bytes);
-    std::memcpy(acc_.data(), desc().buf, desc().bytes);
+    copy_bytes(acc_.data(), desc().buf, desc().bytes);
     const int r = team_rank();
     if (r < 2 * rem_ && r % 2 == 1) {
       // Folded out: contribute to the even partner, await the result.
-      send_stage(image, r - 1, kStageFold, acc_.data(), acc_.size());
+      send_stage(image, r - 1, kStageFold,
+                 net::SharedBytes::copy_of(acc_.data(), acc_.size()));
       mark_data_done(image);  // input captured
       folded_out_ = true;
     }
@@ -84,7 +84,7 @@ class RdAllreduceImpl final : public CollImplBase {
                 "recursive-doubling allreduce size mismatch");
     desc().reducer.combine(acc_.data(), incoming.data(),
                            incoming.size() / desc().reducer.elem_size);
-    incoming.clear();
+    incoming.reset();
   }
 
   /// Participant index of this rank (0..pow), and back to a team rank.
@@ -105,7 +105,8 @@ class RdAllreduceImpl final : public CollImplBase {
       auto& incoming = got_[static_cast<std::size_t>(stage_result())];
       CAF2_ASSERT(incoming.size() == desc().bytes,
                   "recursive-doubling allreduce result size mismatch");
-      std::memcpy(desc().buf, incoming.data(), incoming.size());
+      copy_bytes(desc().buf, incoming.data(), incoming.size());
+      incoming.reset();
       done_ = true;
       return;
     }
@@ -121,7 +122,7 @@ class RdAllreduceImpl final : public CollImplBase {
     while (round_ < rounds_) {
       if (!sent_current_) {
         send_stage(image, participant_rank(q ^ (1 << round_)), 1 + round_,
-                   acc_.data(), acc_.size());
+                   net::SharedBytes::copy_of(acc_.data(), acc_.size()));
         sent_current_ = true;
       }
       if (!have(1 + round_)) {
@@ -131,9 +132,10 @@ class RdAllreduceImpl final : public CollImplBase {
       ++round_;
       sent_current_ = false;
     }
-    std::memcpy(desc().buf, acc_.data(), acc_.size());
+    copy_bytes(desc().buf, acc_.data(), acc_.size());
     if (r < 2 * rem_) {
-      send_stage(image, r + 1, stage_result(), acc_.data(), acc_.size());
+      send_stage(image, r + 1, stage_result(),
+                 net::SharedBytes::copy_of(acc_.data(), acc_.size()));
     }
     done_ = true;
     mark_data_done(image);
@@ -149,7 +151,7 @@ class RdAllreduceImpl final : public CollImplBase {
   int rounds_ = 0;
   int round_ = 0;
   std::vector<std::uint8_t> acc_;
-  std::vector<std::vector<std::uint8_t>> got_;
+  std::vector<net::SharedBytes> got_;
   std::vector<bool> has_;
 };
 
@@ -168,7 +170,7 @@ class RdAllgatherImpl final : public CollImplBase {
     CAF2_ASSERT(std::has_single_bit(static_cast<unsigned>(p)),
                 "recursive-doubling allgather needs a power-of-two team");
     rounds_ = ceil_log2(p);
-    std::memcpy(slot(team_rank()), desc().buf, desc().bytes);
+    copy_bytes(slot(team_rank()), desc().buf, desc().bytes);
     pump(image);
   }
 
@@ -199,8 +201,10 @@ class RdAllgatherImpl final : public CollImplBase {
       const int width = 1 << round_;          // blocks currently held
       const int base = r & ~(width - 1);      // first held block
       if (!sent_current_) {
-        send_stage(image, r ^ width, round_, slot(base),
-                   static_cast<std::size_t>(width) * desc().bytes);
+        send_stage(image, r ^ width, round_,
+                   net::SharedBytes::copy_of(
+                       slot(base),
+                       static_cast<std::size_t>(width) * desc().bytes));
         sent_current_ = true;
       }
       if (static_cast<std::size_t>(round_) >= has_.size() ||
@@ -211,8 +215,8 @@ class RdAllgatherImpl final : public CollImplBase {
       CAF2_ASSERT(incoming.size() ==
                       static_cast<std::size_t>(width) * desc().bytes,
                   "recursive-doubling allgather region size mismatch");
-      std::memcpy(slot(base ^ width), incoming.data(), incoming.size());
-      incoming.clear();
+      copy_bytes(slot(base ^ width), incoming.data(), incoming.size());
+      incoming.reset();
       ++round_;
       sent_current_ = false;
     }
@@ -223,7 +227,7 @@ class RdAllgatherImpl final : public CollImplBase {
   bool sent_current_ = false;
   int rounds_ = 0;
   int round_ = 0;
-  std::vector<std::vector<std::uint8_t>> got_;
+  std::vector<net::SharedBytes> got_;
   std::vector<bool> has_;
 };
 

@@ -1,4 +1,3 @@
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -25,7 +24,7 @@ using rt::Image;
 /// Per-stage receive buffer: non-FIFO-safe storage keyed by stage number.
 class StageBuffer {
  public:
-  void store(int stage, std::vector<std::uint8_t>&& data) {
+  void store(int stage, net::SharedBytes&& data) {
     const auto index = static_cast<std::size_t>(stage);
     if (index >= has_.size()) {
       data_.resize(index + 1);
@@ -40,72 +39,13 @@ class StageBuffer {
     return index < has_.size() && has_[index];
   }
 
-  std::vector<std::uint8_t>& at(int stage) {
+  net::SharedBytes& at(int stage) {
     return data_[static_cast<std::size_t>(stage)];
   }
 
  private:
-  std::vector<std::vector<std::uint8_t>> data_;
+  std::vector<net::SharedBytes> data_;
   std::vector<bool> has_;
-};
-
-/// Ring broadcast: a p-1 hop chain from the root. Strictly worse in latency
-/// than the trees for whole-message sends, but included as the degenerate
-/// pipeline schedule (and as a table stress case).
-class RingBroadcastImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    if (team_rank() == desc().root) {
-      have_data_ = true;
-      forward(image);
-      mark_data_done(image, /*after_stages=*/true);
-    } else if (pending_payload_) {
-      deliver(image);
-    }
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    payload_ = std::move(msg.data);
-    pending_payload_ = true;
-    if (started_) {
-      deliver(image);
-    }
-  }
-
-  bool role_done() const override { return started_ && have_data_; }
-
- private:
-  int vrank() const {
-    const int p = team_size();
-    return (team_rank() - desc().root + p) % p;
-  }
-
-  void forward(Image& image) {
-    const int p = team_size();
-    if (vrank() + 1 < p) {
-      send_stage(image, (vrank() + 1 + desc().root) % p, 0, desc().buf,
-                 desc().bytes);
-    }
-  }
-
-  void deliver(Image& image) {
-    CAF2_ASSERT(payload_.size() == desc().bytes,
-                "ring broadcast size mismatch");
-    std::memcpy(desc().buf, payload_.data(), payload_.size());
-    have_data_ = true;
-    pending_payload_ = false;
-    forward(image);
-    mark_data_done(image);
-  }
-
-  bool started_ = false;
-  bool have_data_ = false;
-  bool pending_payload_ = false;
-  std::vector<std::uint8_t> payload_;
 };
 
 /// Ring allreduce: a reduce-scatter phase (steps 0..p-2, rank r sends
@@ -113,7 +53,9 @@ class RingBroadcastImpl final : public CollImplBase {
 /// from r-1, ending as the owner of fully-reduced chunk (r+1) mod p)
 /// followed by an allgather phase (steps p-1..2p-3 circulating the owned
 /// chunks). Chunks split desc().bytes on reducer element boundaries, so
-/// they may be empty when p exceeds the element count.
+/// they may be empty when p exceeds the element count. In the allgather
+/// phase the chunk sent at step s+1 is the one received at step s, so it
+/// forwards the received buffer instead of copying it back out of acc_.
 class RingAllreduceImpl final : public CollImplBase {
  public:
   using CollImplBase::CollImplBase;
@@ -124,7 +66,7 @@ class RingAllreduceImpl final : public CollImplBase {
     const int p = team_size();
     stages_ = 2 * (p - 1);
     acc_.resize(desc().bytes);
-    std::memcpy(acc_.data(), desc().buf, desc().bytes);
+    copy_bytes(acc_.data(), desc().buf, desc().bytes);
     pump(image);
   }
 
@@ -161,29 +103,34 @@ class RingAllreduceImpl final : public CollImplBase {
           reduce_phase ? (r - 1 - step + 2 * p) % p : (r - step + 2 * p) % p;
       if (!sent_current_) {
         send_stage(image, (r + 1) % p, stage_,
-                   acc_.data() + chunk_begin(send_chunk),
-                   chunk_bytes(send_chunk));
+                   reduce_phase || step == 0
+                       ? net::SharedBytes::copy_of(
+                             acc_.data() + chunk_begin(send_chunk),
+                             chunk_bytes(send_chunk))
+                       : std::move(forward_));
         sent_current_ = true;
       }
       if (!got_.has(stage_)) {
         return;
       }
-      auto& incoming = got_.at(stage_);
+      net::SharedBytes& incoming = got_.at(stage_);
       CAF2_ASSERT(incoming.size() == chunk_bytes(recv_chunk),
                   "ring allreduce chunk size mismatch");
       if (reduce_phase) {
         desc().reducer.combine(acc_.data() + chunk_begin(recv_chunk),
                                incoming.data(),
                                incoming.size() / desc().reducer.elem_size);
+        incoming.reset();
       } else {
-        std::memcpy(acc_.data() + chunk_begin(recv_chunk), incoming.data(),
-                    incoming.size());
+        copy_bytes(acc_.data() + chunk_begin(recv_chunk), incoming.data(),
+                   incoming.size());
+        forward_ = std::move(incoming);
       }
-      incoming.clear();
       ++stage_;
       sent_current_ = false;
     }
-    std::memcpy(desc().buf, acc_.data(), acc_.size());
+    forward_.reset();
+    copy_bytes(desc().buf, acc_.data(), acc_.size());
     mark_data_done(image);
   }
 
@@ -192,12 +139,15 @@ class RingAllreduceImpl final : public CollImplBase {
   int stage_ = 0;
   int stages_ = 0;
   std::vector<std::uint8_t> acc_;
+  net::SharedBytes forward_;  ///< last allgather-phase chunk received
   StageBuffer got_;
 };
 
 /// Ring allgather: rank r seeds slot r of the receive buffer with its own
 /// block, then p-1 steps circulate blocks around the ring (step s: send
-/// block (r-s) mod p to r+1, receive block (r-1-s) mod p from r-1).
+/// block (r-s) mod p to r+1, receive block (r-1-s) mod p from r-1). The
+/// block sent at step s+1 is the one received at step s: it is forwarded,
+/// not copied.
 class RingAllgatherImpl final : public CollImplBase {
  public:
   using CollImplBase::CollImplBase;
@@ -206,7 +156,7 @@ class RingAllgatherImpl final : public CollImplBase {
   void begin(Image& image) override {
     started_ = true;
     stages_ = team_size() - 1;
-    std::memcpy(slot(team_rank()), desc().buf, desc().bytes);
+    copy_bytes(slot(team_rank()), desc().buf, desc().bytes);
     pump(image);
   }
 
@@ -230,23 +180,25 @@ class RingAllgatherImpl final : public CollImplBase {
     const int r = team_rank();
     while (stage_ < stages_) {
       if (!sent_current_) {
-        const int send_block = (r - stage_ + p) % p;
-        send_stage(image, (r + 1) % p, stage_, slot(send_block),
-                   desc().bytes);
+        send_stage(image, (r + 1) % p, stage_,
+                   stage_ == 0
+                       ? net::SharedBytes::copy_of(slot(r), desc().bytes)
+                       : std::move(forward_));
         sent_current_ = true;
       }
       if (!got_.has(stage_)) {
         return;
       }
-      auto& incoming = got_.at(stage_);
+      net::SharedBytes& incoming = got_.at(stage_);
       CAF2_ASSERT(incoming.size() == desc().bytes,
                   "ring allgather block size mismatch");
       const int recv_block = (r - 1 - stage_ + 2 * p) % p;
-      std::memcpy(slot(recv_block), incoming.data(), incoming.size());
-      incoming.clear();
+      copy_bytes(slot(recv_block), incoming.data(), incoming.size());
+      forward_ = std::move(incoming);
       ++stage_;
       sent_current_ = false;
     }
+    forward_.reset();
     mark_data_done(image, /*after_stages=*/true);
   }
 
@@ -254,6 +206,7 @@ class RingAllgatherImpl final : public CollImplBase {
   bool sent_current_ = false;
   int stage_ = 0;
   int stages_ = 0;
+  net::SharedBytes forward_;  ///< block received at the previous step
   StageBuffer got_;
 };
 
@@ -270,7 +223,7 @@ class RingReduceScatterImpl final : public CollImplBase {
     started_ = true;
     stages_ = team_size() - 1;
     acc_.resize(desc().bytes);
-    std::memcpy(acc_.data(), desc().buf, desc().bytes);
+    copy_bytes(acc_.data(), desc().buf, desc().bytes);
     pump(image);
   }
 
@@ -294,24 +247,25 @@ class RingReduceScatterImpl final : public CollImplBase {
     while (stage_ < stages_) {
       if (!sent_current_) {
         const int send_chunk = (r - 1 - stage_ + 2 * p) % p;
-        send_stage(image, (r + 1) % p, stage_, chunk(send_chunk),
-                   desc().bytes2);
+        send_stage(image, (r + 1) % p, stage_,
+                   net::SharedBytes::copy_of(chunk(send_chunk),
+                                             desc().bytes2));
         sent_current_ = true;
       }
       if (!got_.has(stage_)) {
         return;
       }
-      auto& incoming = got_.at(stage_);
+      net::SharedBytes& incoming = got_.at(stage_);
       CAF2_ASSERT(incoming.size() == desc().bytes2,
                   "ring reduce-scatter chunk size mismatch");
       const int recv_chunk = (r - 2 - stage_ + 2 * p) % p;
       desc().reducer.combine(chunk(recv_chunk), incoming.data(),
                              incoming.size() / desc().reducer.elem_size);
-      incoming.clear();
+      incoming.reset();
       ++stage_;
       sent_current_ = false;
     }
-    std::memcpy(desc().buf2, chunk(r), desc().bytes2);
+    copy_bytes(desc().buf2, chunk(r), desc().bytes2);
     mark_data_done(image);
   }
 
@@ -327,8 +281,6 @@ class RingReduceScatterImpl final : public CollImplBase {
 
 std::unique_ptr<CollImplBase> make_ring_impl(rt::CollKey key, CollDesc desc) {
   switch (desc.kind) {
-    case CollKind::kBroadcast:
-      return std::make_unique<RingBroadcastImpl>(key, std::move(desc));
     case CollKind::kAllreduce:
       return std::make_unique<RingAllreduceImpl>(key, std::move(desc));
     case CollKind::kAllgather:

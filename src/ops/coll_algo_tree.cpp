@@ -1,4 +1,3 @@
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -7,11 +6,13 @@
 #include "support/error.hpp"
 
 /// \file coll_algo_tree.cpp
-/// Tree-family schedules (DESIGN.md §4.13): radix-4 k-nomial broadcast and
-/// reduce (shallower than binomial — depth log_4 p — at the cost of up to
-/// three sends per level per node), and a binomial gather+release barrier
-/// (an alternative to the default dissemination rounds: 2 log2 p hops of
-/// depth instead of log2 p rounds of p messages).
+/// Tree-family schedules (DESIGN.md §4.13): broadcast and reduce over a
+/// rooted tree — binomial (the default), radix-4 k-nomial (shallower: depth
+/// log_4 p, at the cost of up to three sends per level per node) or, for
+/// broadcast, a ring chain (p-1 hops: the degenerate pipeline schedule) —
+/// and a binomial gather+release barrier (an alternative to the default
+/// dissemination rounds: 2 log2 p hops of depth instead of log2 p rounds of
+/// p messages).
 
 namespace caf2::ops::detail {
 
@@ -20,16 +21,49 @@ namespace {
 using rt::CollStageMsg;
 using rt::Image;
 
-/// k-nomial broadcast from desc().root (relative-rank rotation, like the
-/// binomial schedule in collectives.cpp).
-class KnomialBroadcastImpl final : public CollImplBase {
+/// A rooted tree over relative ranks (root 0): all that the binomial,
+/// k-nomial and ring-chain broadcast/reduce schedules differ in.
+struct TreeShape {
+  int (*parent)(int vr);
+  std::vector<int> (*children)(int vr, int p);
+};
+
+/// The tree of kBinomialTree, kKnomialTree (radix kKnomialRadix) or kRing
+/// (a chain: vr's only child is vr + 1).
+TreeShape tree_shape(CollAlgorithm algorithm) {
+  switch (algorithm) {
+    case CollAlgorithm::kBinomialTree:
+      return {binomial_parent, binomial_children};
+    case CollAlgorithm::kKnomialTree:
+      return {[](int vr) { return knomial_parent(vr, kKnomialRadix); },
+              [](int vr, int p) {
+                return knomial_children(vr, p, kKnomialRadix);
+              }};
+    case CollAlgorithm::kRing:
+      return {[](int vr) { return vr - 1; },
+              [](int vr, int p) {
+                return vr + 1 < p ? std::vector<int>{vr + 1}
+                                  : std::vector<int>{};
+              }};
+    default:
+      throw UsageError("tree schedule: unsupported algorithm");
+  }
+}
+
+/// Broadcast from desc().root down a tree over relative ranks. Payload
+/// ownership: the root snapshots its buffer once, every interior image
+/// forwards the buffer it received, and each image drops its reference as
+/// soon as it has forwarded — one buffer serves every edge of the tree.
+class TreeBroadcastImpl final : public CollImplBase {
  public:
-  using CollImplBase::CollImplBase;
+  TreeBroadcastImpl(rt::CollKey key, CollDesc desc, TreeShape shape)
+      : CollImplBase(key, std::move(desc)), shape_(shape) {}
 
  protected:
   void begin(Image& image) override {
     started_ = true;
     if (team_rank() == desc().root) {
+      payload_ = net::SharedBytes::copy_of(desc().buf, desc().bytes);
       have_data_ = true;
       forward(image);
       mark_data_done(image, /*after_stages=*/true);
@@ -56,44 +90,46 @@ class KnomialBroadcastImpl final : public CollImplBase {
 
   void forward(Image& image) {
     const int p = team_size();
-    for (int child : knomial_children(vrank(), p, kKnomialRadix)) {
-      send_stage(image, (child + desc().root) % p, 0, desc().buf,
-                 desc().bytes);
+    for (int child : shape_.children(vrank(), p)) {
+      send_stage(image, (child + desc().root) % p, 0, payload_);
     }
+    payload_.reset();
   }
 
   void deliver(Image& image) {
-    CAF2_ASSERT(payload_.size() == desc().bytes,
-                "knomial broadcast size mismatch");
-    std::memcpy(desc().buf, payload_.data(), payload_.size());
+    CAF2_ASSERT(payload_.size() == desc().bytes, "broadcast size mismatch");
+    copy_bytes(desc().buf, payload_.data(), payload_.size());
     have_data_ = true;
     pending_payload_ = false;
     forward(image);
     mark_data_done(image);
   }
 
+  TreeShape shape_;
   bool started_ = false;
   bool have_data_ = false;
   bool pending_payload_ = false;
-  std::vector<std::uint8_t> payload_;
+  net::SharedBytes payload_;
 };
 
-/// k-nomial reduction toward desc().root.
-class KnomialReduceImpl final : public CollImplBase {
+/// Reduction toward desc().root up a tree over relative ranks. The
+/// accumulator is the stage buffer itself: a non-root image moves it into
+/// the message to its parent instead of copying it.
+class TreeReduceImpl final : public CollImplBase {
  public:
-  using CollImplBase::CollImplBase;
+  TreeReduceImpl(rt::CollKey key, CollDesc desc, TreeShape shape)
+      : CollImplBase(key, std::move(desc)), shape_(shape) {}
 
  protected:
   void begin(Image& image) override {
     started_ = true;
-    acc_.resize(desc().bytes);
-    std::memcpy(acc_.data(), desc().buf, desc().bytes);
-    expected_ = static_cast<int>(
-        knomial_children(vrank(), team_size(), kKnomialRadix).size());
+    acc_ = net::SharedBytes::copy_of(desc().buf, desc().bytes);
+    expected_ =
+        static_cast<int>(shape_.children(vrank(), team_size()).size());
     if (team_rank() != desc().root) {
       mark_data_done(image);  // inputs captured; user buffer reusable
     }
-    for (auto& pending : pending_msgs_) {
+    for (const net::SharedBytes& pending : pending_msgs_) {
       absorb(pending);
     }
     pending_msgs_.clear();
@@ -117,10 +153,10 @@ class KnomialReduceImpl final : public CollImplBase {
     return (team_rank() - desc().root + p) % p;
   }
 
-  void absorb(const std::vector<std::uint8_t>& data) {
-    CAF2_ASSERT(data.size() == desc().bytes, "knomial reduce size mismatch");
+  void absorb(const net::SharedBytes& data) {
+    CAF2_ASSERT(data.size() == desc().bytes, "reduce size mismatch");
     const Reducer& reducer = desc().reducer;
-    reducer.combine(acc_.data(), data.data(),
+    reducer.combine(acc_.mutable_data(), data.data(),
                     desc().bytes / reducer.elem_size);
     ++got_;
   }
@@ -131,22 +167,23 @@ class KnomialReduceImpl final : public CollImplBase {
     }
     done_ = true;
     if (team_rank() == desc().root) {
-      std::memcpy(desc().buf, acc_.data(), acc_.size());
+      copy_bytes(desc().buf, acc_.data(), acc_.size());
+      acc_.reset();
       mark_data_done(image);
     } else {
       const int p = team_size();
-      send_stage(image,
-                 (knomial_parent(vrank(), kKnomialRadix) + desc().root) % p,
-                 0, acc_.data(), acc_.size());
+      send_stage(image, (shape_.parent(vrank()) + desc().root) % p, 0,
+                 std::move(acc_));
     }
   }
 
+  TreeShape shape_;
   bool started_ = false;
   bool done_ = false;
   int expected_ = 0;
   int got_ = 0;
-  std::vector<std::uint8_t> acc_;
-  std::vector<std::vector<std::uint8_t>> pending_msgs_;
+  net::SharedBytes acc_;
+  std::vector<net::SharedBytes> pending_msgs_;
 };
 
 /// Binomial gather+release barrier rooted at team rank 0: zero-byte tokens
@@ -196,7 +233,7 @@ class TreeBarrierImpl final : public CollImplBase {
     if (team_rank() == 0) {
       release(image);
     } else {
-      send_stage(image, binomial_parent(team_rank()), kStageUp, nullptr, 0);
+      send_stage(image, binomial_parent(team_rank()), kStageUp, {});
     }
   }
 
@@ -205,7 +242,7 @@ class TreeBarrierImpl final : public CollImplBase {
     pending_release_ = false;
     released_ = true;
     for (int child : binomial_children(team_rank(), team_size())) {
-      send_stage(image, child, kStageDown, nullptr, 0);
+      send_stage(image, child, kStageDown, {});
     }
     mark_data_done(image);
   }
@@ -225,15 +262,15 @@ std::unique_ptr<CollImplBase> make_tree_barrier_impl(rt::CollKey key,
   return std::make_unique<TreeBarrierImpl>(key, std::move(desc));
 }
 
-std::unique_ptr<CollImplBase> make_knomial_impl(rt::CollKey key,
-                                                CollDesc desc) {
+std::unique_ptr<CollImplBase> make_tree_impl(rt::CollKey key, CollDesc desc) {
+  const TreeShape shape = tree_shape(desc.algorithm);
   switch (desc.kind) {
     case CollKind::kBroadcast:
-      return std::make_unique<KnomialBroadcastImpl>(key, std::move(desc));
+      return std::make_unique<TreeBroadcastImpl>(key, std::move(desc), shape);
     case CollKind::kReduce:
-      return std::make_unique<KnomialReduceImpl>(key, std::move(desc));
+      return std::make_unique<TreeReduceImpl>(key, std::move(desc), shape);
     default:
-      throw UsageError("knomial schedule: unsupported collective kind");
+      throw UsageError("tree schedule: unsupported collective kind");
   }
 }
 

@@ -5,6 +5,7 @@
 /// (collectives.cpp) and the distributed sort (sort.cpp). Not public API.
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "ops/collectives.hpp"
@@ -25,6 +26,14 @@ int ceil_log2(int p);
 /// digit. k = 2 degenerates to the binomial tree.
 int knomial_parent(int vr, int k);
 std::vector<int> knomial_children(int vr, int p, int k);
+
+/// memcpy for stage data: an empty SharedBytes (and an empty user span) has
+/// a null data pointer, which memcpy must not receive even for zero bytes.
+inline void copy_bytes(void* dst, const void* src, std::size_t bytes) {
+  if (bytes > 0) {
+    std::memcpy(dst, src, bytes);
+  }
+}
 
 /// Radix of CollAlgorithm::kKnomialTree (shallower than binomial: depth
 /// log_4 p, at most 3 sends per level per node).
@@ -52,8 +61,13 @@ class CollImplBase : public rt::CollBase {
   /// Kind-specific: algorithm role of this image is complete.
   virtual bool role_done() const = 0;
 
+  /// Send one stage message carrying \p data as its bulk attachment. The
+  /// buffer is shared, not copied: payload ownership (DESIGN.md §4.13) is
+  /// one snapshot per fan-out at initiation, after which interior images
+  /// forward the buffer they received and reduce-shaped schedules move their
+  /// accumulator in. Pass {} for a zero-byte token.
   void send_stage(rt::Image& image, int to_team_rank, int stage,
-                  const void* data, std::size_t bytes);
+                  net::SharedBytes data);
 
   /// Local data completion (paper Fig. 4); with \p after_stages the mark is
   /// deferred until every outgoing stage has been injected.
@@ -87,8 +101,8 @@ std::unique_ptr<CollImplBase> make_sort_impl(rt::CollKey key, CollDesc desc);
 /// is already resolved to the family's concrete value.
 std::unique_ptr<CollImplBase> make_tree_barrier_impl(rt::CollKey key,
                                                      CollDesc desc);
-std::unique_ptr<CollImplBase> make_knomial_impl(rt::CollKey key,
-                                                CollDesc desc);
+/// Broadcast and reduce over the binomial, k-nomial or ring-chain tree.
+std::unique_ptr<CollImplBase> make_tree_impl(rt::CollKey key, CollDesc desc);
 std::unique_ptr<CollImplBase> make_ring_impl(rt::CollKey key, CollDesc desc);
 std::unique_ptr<CollImplBase> make_rd_impl(rt::CollKey key, CollDesc desc);
 std::unique_ptr<CollImplBase> make_direct_impl(rt::CollKey key,

@@ -1,7 +1,6 @@
 #include "ops/collectives.hpp"
 
 #include <bit>
-#include <cstring>
 
 #include "obs/obs.hpp"
 #include "ops/coll_algo.hpp"
@@ -86,7 +85,7 @@ void CollImplBase::start(Image& image, const net::FinishKey& finish,
 }
 
 void CollImplBase::send_stage(Image& image, int to_team_rank, int stage,
-                              const void* data, std::size_t bytes) {
+                              net::SharedBytes data) {
   net::Message message;
   message.header.source = image.rank();
   message.header.dest = desc_.team.world_rank(to_team_rank);
@@ -101,10 +100,8 @@ void CollImplBase::send_stage(Image& image, int to_team_rank, int stage,
   archive.write(key_);
   archive.write(static_cast<std::int32_t>(stage));
   archive.write(static_cast<std::int32_t>(desc_.team.rank()));
-  if (bytes > 0) {
-    archive.write_bytes(data, bytes);
-  }
   message.payload = archive.take();
+  message.bulk = std::move(data);
 
   ++pending_stage_;
   ++pending_ack_;
@@ -183,6 +180,7 @@ using detail::binomial_children;
 using detail::binomial_parent;
 using detail::ceil_log2;
 using detail::CollImplBase;
+using detail::copy_bytes;
 using rt::CollKey;
 using rt::CollStageMsg;
 using rt::Image;
@@ -218,8 +216,7 @@ class BarrierImpl final : public CollImplBase {
     const int p = team_size();
     while (round_ < rounds_) {
       if (!sent_current_) {
-        send_stage(image, (team_rank() + (1 << round_)) % p, round_, nullptr,
-                   0);
+        send_stage(image, (team_rank() + (1 << round_)) % p, round_, {});
         sent_current_ = true;
       }
       if (static_cast<std::size_t>(round_) >= got_.size() ||
@@ -239,136 +236,12 @@ class BarrierImpl final : public CollImplBase {
   std::vector<bool> got_;
 };
 
-/// Binomial broadcast from desc().root.
-class BroadcastImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    if (team_rank() == desc().root) {
-      have_data_ = true;
-      forward(image);
-      mark_data_done(image, /*after_stages=*/true);
-    } else if (pending_payload_) {
-      deliver(image);
-    }
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    payload_ = std::move(msg.data);
-    pending_payload_ = true;
-    if (started_) {
-      deliver(image);
-    }
-  }
-
-  bool role_done() const override { return started_ && have_data_; }
-
- private:
-  int vrank() const {
-    const int p = team_size();
-    return (team_rank() - desc().root + p) % p;
-  }
-
-  void forward(Image& image) {
-    const int p = team_size();
-    for (int child : binomial_children(vrank(), p)) {
-      send_stage(image, (child + desc().root) % p, 0, desc().buf,
-                 desc().bytes);
-    }
-  }
-
-  void deliver(Image& image) {
-    CAF2_ASSERT(payload_.size() == desc().bytes, "broadcast size mismatch");
-    std::memcpy(desc().buf, payload_.data(), payload_.size());
-    have_data_ = true;
-    pending_payload_ = false;
-    forward(image);
-    mark_data_done(image);
-  }
-
-  bool started_ = false;
-  bool have_data_ = false;
-  bool pending_payload_ = false;
-  std::vector<std::uint8_t> payload_;
-};
-
-/// Binomial reduction toward desc().root.
-class ReduceImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    acc_.resize(desc().bytes);
-    std::memcpy(acc_.data(), desc().buf, desc().bytes);
-    expected_ =
-        static_cast<int>(binomial_children(vrank(), team_size()).size());
-    if (team_rank() != desc().root) {
-      mark_data_done(image);  // inputs captured; user buffer reusable
-    }
-    for (auto& pending : pending_msgs_) {
-      absorb(pending);
-    }
-    pending_msgs_.clear();
-    try_advance(image);
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_msgs_.push_back(std::move(msg.data));
-      return;
-    }
-    absorb(msg.data);
-    try_advance(image);
-  }
-
-  bool role_done() const override { return started_ && done_; }
-
- private:
-  int vrank() const {
-    const int p = team_size();
-    return (team_rank() - desc().root + p) % p;
-  }
-
-  void absorb(const std::vector<std::uint8_t>& data) {
-    CAF2_ASSERT(data.size() == desc().bytes, "reduce size mismatch");
-    const Reducer& reducer = desc().reducer;
-    reducer.combine(acc_.data(), data.data(),
-                    desc().bytes / reducer.elem_size);
-    ++got_;
-  }
-
-  void try_advance(Image& image) {
-    if (done_ || got_ < expected_) {
-      return;
-    }
-    done_ = true;
-    if (team_rank() == desc().root) {
-      std::memcpy(desc().buf, acc_.data(), acc_.size());
-      mark_data_done(image);
-    } else {
-      const int p = team_size();
-      send_stage(image, (binomial_parent(vrank()) + desc().root) % p, 0,
-                 acc_.data(), acc_.size());
-    }
-  }
-
-  bool started_ = false;
-  bool done_ = false;
-  int expected_ = 0;
-  int got_ = 0;
-  std::vector<std::uint8_t> acc_;
-  std::vector<std::vector<std::uint8_t>> pending_msgs_;
-};
-
 /// Allreduce = binomial reduce to team rank 0 (stage 0) + binomial broadcast
 /// from team rank 0 (stage 1): one pass through a reduction tree and one
 /// through a broadcast tree, the structure the paper's critical-path bound
-/// assumes.
+/// assumes. Payload ownership follows the tree schedules: each accumulator
+/// moves up to its parent, and the root's final accumulator is the one
+/// buffer every broadcast edge forwards.
 class AllreduceImpl final : public CollImplBase {
  public:
   using CollImplBase::CollImplBase;
@@ -379,11 +252,10 @@ class AllreduceImpl final : public CollImplBase {
  protected:
   void begin(Image& image) override {
     started_ = true;
-    acc_.resize(desc().bytes);
-    std::memcpy(acc_.data(), desc().buf, desc().bytes);
+    acc_ = net::SharedBytes::copy_of(desc().buf, desc().bytes);
     expected_ = static_cast<int>(
         binomial_children(team_rank(), team_size()).size());
-    for (auto& pending : pending_reduce_) {
+    for (const net::SharedBytes& pending : pending_reduce_) {
       absorb(pending);
     }
     pending_reduce_.clear();
@@ -413,10 +285,10 @@ class AllreduceImpl final : public CollImplBase {
   bool role_done() const override { return started_ && have_result_; }
 
  private:
-  void absorb(const std::vector<std::uint8_t>& data) {
+  void absorb(const net::SharedBytes& data) {
     CAF2_ASSERT(data.size() == desc().bytes, "allreduce size mismatch");
     const Reducer& reducer = desc().reducer;
-    reducer.combine(acc_.data(), data.data(),
+    reducer.combine(acc_.mutable_data(), data.data(),
                     desc().bytes / reducer.elem_size);
     ++got_;
   }
@@ -427,28 +299,32 @@ class AllreduceImpl final : public CollImplBase {
     }
     reduce_done_ = true;
     if (team_rank() == 0) {
-      std::memcpy(desc().buf, acc_.data(), acc_.size());
+      copy_bytes(desc().buf, acc_.data(), acc_.size());
       have_result_ = true;
-      for (int child : binomial_children(0, team_size())) {
-        send_stage(image, child, kStageBcast, desc().buf, desc().bytes);
-      }
+      bcast_payload_ = std::move(acc_);
+      forward(image);
       mark_data_done(image);
     } else {
       send_stage(image, binomial_parent(team_rank()), kStageReduce,
-                 acc_.data(), acc_.size());
+                 std::move(acc_));
     }
   }
 
   void deliver(Image& image) {
     CAF2_ASSERT(bcast_payload_.size() == desc().bytes,
                 "allreduce broadcast size mismatch");
-    std::memcpy(desc().buf, bcast_payload_.data(), bcast_payload_.size());
+    copy_bytes(desc().buf, bcast_payload_.data(), bcast_payload_.size());
     pending_bcast_ = false;
     have_result_ = true;
-    for (int child : binomial_children(team_rank(), team_size())) {
-      send_stage(image, child, kStageBcast, desc().buf, desc().bytes);
-    }
+    forward(image);
     mark_data_done(image);
+  }
+
+  void forward(Image& image) {
+    for (int child : binomial_children(team_rank(), team_size())) {
+      send_stage(image, child, kStageBcast, bcast_payload_);
+    }
+    bcast_payload_.reset();
   }
 
   bool started_ = false;
@@ -457,9 +333,9 @@ class AllreduceImpl final : public CollImplBase {
   bool pending_bcast_ = false;
   int expected_ = 0;
   int got_ = 0;
-  std::vector<std::uint8_t> acc_;
-  std::vector<std::uint8_t> bcast_payload_;
-  std::vector<std::vector<std::uint8_t>> pending_reduce_;
+  net::SharedBytes acc_;
+  net::SharedBytes bcast_payload_;
+  std::vector<net::SharedBytes> pending_reduce_;
 };
 
 /// Binomial gather toward desc().root. Each interior node accumulates its
@@ -481,8 +357,8 @@ class GatherImpl final : public CollImplBase {
     if (team_rank() != desc().root) {
       mark_data_done(image);  // contribution captured
     }
-    for (auto& pending : pending_msgs_) {
-      absorb(std::move(pending));
+    for (const net::SharedBytes& pending : pending_msgs_) {
+      absorb(pending);
     }
     pending_msgs_.clear();
     try_advance(image);
@@ -493,7 +369,7 @@ class GatherImpl final : public CollImplBase {
       pending_msgs_.push_back(std::move(msg.data));
       return;
     }
-    absorb(std::move(msg.data));
+    absorb(msg.data);
     try_advance(image);
   }
 
@@ -512,7 +388,7 @@ class GatherImpl final : public CollImplBase {
     return std::min(low, p - vr);
   }
 
-  void absorb(std::vector<std::uint8_t>&& data) {
+  void absorb(std::span<const std::uint8_t> data) {
     ReadArchive archive(data);
     const auto count = archive.read<std::int32_t>();
     for (int i = 0; i < count; ++i) {
@@ -531,8 +407,8 @@ class GatherImpl final : public CollImplBase {
     if (team_rank() == desc().root) {
       auto* out = static_cast<std::uint8_t*>(desc().buf2);
       for (const auto& [rank, chunk] : chunks_) {
-        std::memcpy(out + static_cast<std::size_t>(rank) * desc().bytes,
-                    chunk.data(), chunk.size());
+        copy_bytes(out + static_cast<std::size_t>(rank) * desc().bytes,
+                   chunk.data(), chunk.size());
       }
       mark_data_done(image);
     } else {
@@ -542,17 +418,16 @@ class GatherImpl final : public CollImplBase {
         archive.write(static_cast<std::int32_t>(rank));
         archive.write_bytes(chunk.data(), chunk.size());
       }
-      const auto packed = archive.take();
       const int p = team_size();
       send_stage(image, (binomial_parent(vrank()) + desc().root) % p, 0,
-                 packed.data(), packed.size());
+                 net::SharedBytes::copy_of(archive.bytes()));
     }
   }
 
   bool started_ = false;
   bool done_ = false;
   std::vector<std::pair<int, std::vector<std::uint8_t>>> chunks_;
-  std::vector<std::vector<std::uint8_t>> pending_msgs_;
+  std::vector<net::SharedBytes> pending_msgs_;
 };
 
 /// Binomial scatter from desc().root: each node receives the packed chunks
@@ -580,9 +455,8 @@ class ScatterImpl final : public CollImplBase {
       mark_data_done(image, /*after_stages=*/true);
       have_chunk_ = true;
     } else if (!pending_.empty()) {
-      auto data = std::move(pending_);
-      pending_.clear();
-      accept(image, std::move(data));
+      const net::SharedBytes data = std::move(pending_);
+      accept(image, data);
     }
   }
 
@@ -591,7 +465,7 @@ class ScatterImpl final : public CollImplBase {
       pending_ = std::move(msg.data);
       return;
     }
-    accept(image, std::move(msg.data));
+    accept(image, msg.data);
   }
 
   bool role_done() const override { return started_ && have_chunk_; }
@@ -602,7 +476,7 @@ class ScatterImpl final : public CollImplBase {
     return (team_rank() - desc().root + p) % p;
   }
 
-  void accept(Image& image, std::vector<std::uint8_t>&& data) {
+  void accept(Image& image, std::span<const std::uint8_t> data) {
     ReadArchive archive(data);
     const auto count = archive.read<std::int32_t>();
     std::vector<std::pair<int, std::vector<std::uint8_t>>> mine;
@@ -612,7 +486,7 @@ class ScatterImpl final : public CollImplBase {
       std::vector<std::uint8_t> chunk(desc().bytes2);
       archive.read_bytes(chunk.data(), chunk.size());
       if (rank == team_rank()) {
-        std::memcpy(desc().buf2, chunk.data(), chunk.size());
+        copy_bytes(desc().buf2, chunk.data(), chunk.size());
       } else {
         mine.emplace_back(rank, std::move(chunk));
       }
@@ -646,22 +520,20 @@ class ScatterImpl final : public CollImplBase {
           archive.write_bytes(chunk.data(), chunk.size());
         }
       }
-      const auto packed = archive.take();
-      send_stage(image, (child + desc().root) % p, 0, packed.data(),
-                 packed.size());
-      // Root's own chunk when this node is the root:
+      send_stage(image, (child + desc().root) % p, 0,
+                 net::SharedBytes::copy_of(archive.bytes()));
     }
     if (team_rank() == desc().root) {
       const auto* in = static_cast<const std::uint8_t*>(desc().buf);
-      std::memcpy(desc().buf2,
-                  in + static_cast<std::size_t>(team_rank()) * desc().bytes2,
-                  desc().bytes2);
+      copy_bytes(desc().buf2,
+                 in + static_cast<std::size_t>(team_rank()) * desc().bytes2,
+                 desc().bytes2);
     }
   }
 
   bool started_ = false;
   bool have_chunk_ = false;
-  std::vector<std::uint8_t> pending_;
+  net::SharedBytes pending_;
 };
 
 /// Direct all-to-all personalized exchange: p-1 tagged sends, p-1 receives.
@@ -676,13 +548,14 @@ class AlltoallImpl final : public CollImplBase {
         desc().bytes / static_cast<std::size_t>(team_size());
     const auto* in = static_cast<const std::uint8_t*>(desc().buf);
     // Own chunk moves locally.
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    static_cast<std::size_t>(team_rank()) * chunk,
-                in + static_cast<std::size_t>(team_rank()) * chunk, chunk);
+    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                   static_cast<std::size_t>(team_rank()) * chunk,
+               in + static_cast<std::size_t>(team_rank()) * chunk, chunk);
     for (int r = 0; r < team_size(); ++r) {
       if (r != team_rank()) {
-        send_stage(image, r, 0, in + static_cast<std::size_t>(r) * chunk,
-                   chunk);
+        send_stage(image, r, 0,
+                   net::SharedBytes::copy_of(
+                       in + static_cast<std::size_t>(r) * chunk, chunk));
       }
     }
     for (auto& [from, data] : pending_) {
@@ -706,13 +579,13 @@ class AlltoallImpl final : public CollImplBase {
   }
 
  private:
-  void place(int from, const std::vector<std::uint8_t>& data) {
+  void place(int from, const net::SharedBytes& data) {
     const std::size_t chunk =
         desc().bytes2 / static_cast<std::size_t>(team_size());
     CAF2_ASSERT(data.size() == chunk, "alltoall chunk size mismatch");
-    std::memcpy(static_cast<std::uint8_t*>(desc().buf2) +
-                    static_cast<std::size_t>(from) * chunk,
-                data.data(), data.size());
+    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
+                   static_cast<std::size_t>(from) * chunk,
+               data.data(), data.size());
     ++received_;
   }
 
@@ -727,7 +600,7 @@ class AlltoallImpl final : public CollImplBase {
 
   bool started_ = false;
   int received_ = 0;
-  std::vector<std::pair<int, std::vector<std::uint8_t>>> pending_;
+  std::vector<std::pair<int, net::SharedBytes>> pending_;
 };
 
 /// Hillis-Steele inclusive scan: in round k, rank r sends its running
@@ -773,8 +646,8 @@ class ScanImpl final : public CollImplBase {
       const int dist = 1 << round_;
       if (!sent_current_) {
         if (team_rank() + dist < p) {
-          send_stage(image, team_rank() + dist, round_, acc_.data(),
-                     acc_.size());
+          send_stage(image, team_rank() + dist, round_,
+                     net::SharedBytes::copy_of(acc_.data(), acc_.size()));
         }
         sent_current_ = true;
       }
@@ -783,9 +656,10 @@ class ScanImpl final : public CollImplBase {
             !has_got_[static_cast<std::size_t>(round_)]) {
           return;  // wait for this round's prefix
         }
-        const auto& incoming = got_[static_cast<std::size_t>(round_)];
+        const net::SharedBytes& incoming =
+            got_[static_cast<std::size_t>(round_)];
         if (!has_carry_) {
-          carry_ = incoming;
+          carry_.assign(incoming.data(), incoming.data() + incoming.size());
           has_carry_ = true;
         } else {
           desc().reducer.combine(carry_.data(), incoming.data(),
@@ -802,11 +676,11 @@ class ScanImpl final : public CollImplBase {
     // Done: write the result into the user buffer.
     if (desc().exclusive_scan) {
       if (has_carry_) {
-        std::memcpy(desc().buf, carry_.data(), carry_.size());
+        copy_bytes(desc().buf, carry_.data(), carry_.size());
       }
       // Rank 0's buffer is left unchanged (no identity element available).
     } else {
-      std::memcpy(desc().buf, acc_.data(), acc_.size());
+      copy_bytes(desc().buf, acc_.data(), acc_.size());
     }
     mark_data_done(image);
   }
@@ -818,15 +692,16 @@ class ScanImpl final : public CollImplBase {
   bool has_carry_ = false;
   std::vector<std::uint8_t> acc_;
   std::vector<std::uint8_t> carry_;
-  std::vector<std::vector<std::uint8_t>> got_;
+  std::vector<net::SharedBytes> got_;
   std::vector<bool> has_got_;
 };
 
-/// Dispatch on (kind, resolved algorithm). The legacy schedules live in
-/// this file; the alternative families live in coll_algo_*.cpp behind the
-/// detail::make_*_impl factories. resolve_algorithm() already rejected
-/// unsupported pairings and clamped structurally impossible ones, so an
-/// unhandled combination here is a programming error.
+/// Dispatch on (kind, resolved algorithm). The remaining legacy schedules
+/// live in this file; the tree broadcast/reduce and the alternative families
+/// live in coll_algo_*.cpp behind the detail::make_*_impl factories.
+/// resolve_algorithm() already rejected unsupported pairings and clamped
+/// structurally impossible ones, so an unhandled combination here is a
+/// programming error.
 std::unique_ptr<CollImplBase> make_impl(CollKind kind, CollKey key,
                                         CollDesc desc) {
   const CollAlgorithm algorithm = desc.algorithm;
@@ -837,18 +712,8 @@ std::unique_ptr<CollImplBase> make_impl(CollKind kind, CollKey key,
       }
       return std::make_unique<BarrierImpl>(key, std::move(desc));
     case CollKind::kBroadcast:
-      if (algorithm == CollAlgorithm::kKnomialTree) {
-        return detail::make_knomial_impl(key, std::move(desc));
-      }
-      if (algorithm == CollAlgorithm::kRing) {
-        return detail::make_ring_impl(key, std::move(desc));
-      }
-      return std::make_unique<BroadcastImpl>(key, std::move(desc));
     case CollKind::kReduce:
-      if (algorithm == CollAlgorithm::kKnomialTree) {
-        return detail::make_knomial_impl(key, std::move(desc));
-      }
-      return std::make_unique<ReduceImpl>(key, std::move(desc));
+      return detail::make_tree_impl(key, std::move(desc));
     case CollKind::kAllreduce:
       if (algorithm == CollAlgorithm::kRing) {
         return detail::make_ring_impl(key, std::move(desc));
@@ -1007,10 +872,7 @@ void install_collective_handlers(rt::Runtime& runtime) {
         CollStageMsg msg;
         msg.stage = stage;
         msg.from_team_rank = from;
-        msg.data.resize(archive.remaining());
-        if (!msg.data.empty()) {
-          archive.read_bytes(msg.data.data(), msg.data.size());
-        }
+        msg.data = std::move(message.bulk);
 
         rt::PendingColl& pending = image.coll_state(key);
         if (pending.op != nullptr) {

@@ -490,7 +490,9 @@ void sort_async(const Team& team, std::vector<T>& keys,
                         std::size_t bytes) {
     auto* out = static_cast<std::vector<T>*>(sink);
     out->resize(bytes / sizeof(T));
-    std::memcpy(out->data(), data, bytes);
+    if (bytes > 0) {  // both pointers are null for an empty result
+      std::memcpy(out->data(), data, bytes);
+    }
   };
   desc.sort_sort = [](std::uint8_t* data, std::size_t bytes) {
     T* keys_begin = reinterpret_cast<T*>(data);

@@ -67,7 +67,7 @@ class SortImpl final : public CollImplBase {
     if (team_rank() == 0) {
       absorb_samples(image, packed);
     } else {
-      send_stage(image, 0, kStageSamples, packed.data(), packed.size());
+      send_stage(image, 0, kStageSamples, net::SharedBytes::copy_of(packed));
     }
     replay(image);
   }
@@ -109,7 +109,7 @@ class SortImpl final : public CollImplBase {
     }
   }
 
-  void absorb_samples(Image& image, const std::vector<std::uint8_t>& data) {
+  void absorb_samples(Image& image, std::span<const std::uint8_t> data) {
     const std::size_t es = desc().elem_size;
     ReadArchive archive(data);
     const auto count = archive.read<std::int32_t>();
@@ -148,14 +148,16 @@ class SortImpl final : public CollImplBase {
       archive_out.write_bytes(bytes.data(), bytes.size());
       packed_splitters = archive_out.take();
     }
+    // One snapshot serves all p-1 members.
+    const net::SharedBytes splitters =
+        net::SharedBytes::copy_of(packed_splitters);
     for (int r = 1; r < p; ++r) {
-      send_stage(image, r, kStageSplitters, packed_splitters.data(),
-                 packed_splitters.size());
+      send_stage(image, r, kStageSplitters, splitters);
     }
     accept_splitters(image, packed_splitters);
   }
 
-  void accept_splitters(Image& image, const std::vector<std::uint8_t>& data) {
+  void accept_splitters(Image& image, std::span<const std::uint8_t> data) {
     const std::size_t es = desc().elem_size;
     ReadArchive archive(data);
     const auto count = archive.read<std::int32_t>();
@@ -180,13 +182,13 @@ class SortImpl final : public CollImplBase {
         ++cursor;
       }
       const std::size_t bytes = (cursor - first) * es;
+      net::SharedBytes partition =
+          net::SharedBytes::copy_of(keys_.data() + first * es, bytes);
       if (part == team_rank()) {
-        partitions_.emplace_back(keys_.data() + first * es,
-                                 keys_.data() + first * es + bytes);
+        partitions_.push_back(std::move(partition));
         ++parts_received_;
       } else {
-        send_stage(image, part, kStagePartition, keys_.data() + first * es,
-                   bytes);
+        send_stage(image, part, kStagePartition, std::move(partition));
       }
     }
     CAF2_ASSERT(cursor == n, "sort: partitioning lost keys");
@@ -200,8 +202,8 @@ class SortImpl final : public CollImplBase {
     }
     done_ = true;
     std::vector<std::uint8_t> merged;
-    for (const auto& part : partitions_) {
-      merged.insert(merged.end(), part.begin(), part.end());
+    for (const net::SharedBytes& part : partitions_) {
+      merged.insert(merged.end(), part.data(), part.data() + part.size());
     }
     desc().sort_sort(merged.data(), merged.size());
     desc().sort_assign(desc().sort_sink, merged.data(), merged.size());
@@ -216,7 +218,7 @@ class SortImpl final : public CollImplBase {
   std::vector<std::uint8_t> keys_;
   std::vector<std::vector<std::uint8_t>> samples_;
   std::vector<std::vector<std::uint8_t>> splitters_;
-  std::vector<std::vector<std::uint8_t>> partitions_;
+  std::vector<net::SharedBytes> partitions_;
   std::vector<CollStageMsg> pending_;
 };
 

@@ -40,11 +40,12 @@ class Runtime;
 /// Marker for whether a message participates in finish accounting.
 enum class Tracking : std::uint8_t { kUntracked, kTracked };
 
-/// A buffered or dispatched collective stage message.
+/// A buffered or dispatched collective stage message. `data` is the stage's
+/// bulk attachment itself: a view on the sender's shared buffer, not a copy.
 struct CollStageMsg {
   int stage = 0;
   int from_team_rank = 0;
-  std::vector<std::uint8_t> data;
+  net::SharedBytes data;
 };
 
 /// Base class of per-collective state machines (implemented in ops).

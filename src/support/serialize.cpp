@@ -10,7 +10,9 @@ void WriteArchive::write_bytes(const void* data, std::size_t size) {
 void ReadArchive::read_bytes(void* out, std::size_t size) {
   CAF2_ASSERT(cursor_ + size <= bytes_.size(),
               "ReadArchive: read past end of buffer");
-  std::memcpy(out, bytes_.data() + cursor_, size);
+  if (size > 0) {  // out and the buffer may be null when empty
+    std::memcpy(out, bytes_.data() + cursor_, size);
+  }
   cursor_ += size;
 }
 

@@ -177,24 +177,34 @@ TEST(Collectives, BroadcastImplicitLocalDataViaCofence) {
 }
 
 TEST(Collectives, RootSrcEventMeansBufferReusable) {
-  run(coll_options(4), [] {
-    Team world = team_world();
-    std::vector<int> buffer(512, world.rank() == 0 ? 9 : 0);
-    Coarray<int> sink(world, 512);
-    if (world.rank() == 0) {
-      Event reusable;
-      broadcast_async<int>(world, buffer, 0, {.src_done = reusable.handle()});
-      reusable.wait();
-      buffer.assign(512, -1);  // must not corrupt the broadcast
-    } else {
-      Event got;
-      broadcast_async<int>(world, buffer, 0, {.src_done = got.handle()});
-      got.wait();
-      EXPECT_EQ(buffer[0], 9);
-      EXPECT_EQ(buffer[511], 9);
-    }
-    team_barrier(world);
-  });
+  // Every tree schedule forwards the root's one snapshot: overwriting the
+  // root buffer after src_done must not reach any image, interior forwarders
+  // included (8 images give every schedule an interior node).
+  for (CollAlgorithm algorithm :
+       {CollAlgorithm::kBinomialTree, CollAlgorithm::kKnomialTree,
+        CollAlgorithm::kRing}) {
+    SCOPED_TRACE(to_string(algorithm));
+    run(coll_options(8), [algorithm] {
+      Team world = team_world();
+      std::vector<int> buffer(512, world.rank() == 0 ? 9 : 0);
+      if (world.rank() == 0) {
+        Event reusable;
+        broadcast_async<int>(
+            world, buffer, 0,
+            {.src_done = reusable.handle(), .algorithm = algorithm});
+        reusable.wait();
+        buffer.assign(512, -1);  // must not corrupt the broadcast
+      } else {
+        Event got;
+        broadcast_async<int>(world, buffer, 0,
+                             {.src_done = got.handle(), .algorithm = algorithm});
+        got.wait();
+        EXPECT_EQ(buffer[0], 9);
+        EXPECT_EQ(buffer[511], 9);
+      }
+      team_barrier(world);
+    });
+  }
 }
 
 TEST(Collectives, NonMemberCallerRejected) {

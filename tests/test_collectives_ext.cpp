@@ -450,43 +450,46 @@ TEST_P(ExtSizes, GathervScattervAlltoallvVariableCounts) {
       team_barrier(world);
     }
     {
-      // Rank r sends j+1 elements to rank j (independent of r), so rank j
-      // receives j+1 elements from everyone: counts differ per pair and
-      // extents are not divisible by the team size.
+      // Rank r sends (r + j) % 3 elements to rank j: counts differ per pair,
+      // extents are not divisible by the team size, and every pair with
+      // r + j divisible by 3 (rank 0's local pair included) is empty.
+      const auto pair_count = [](int from, int to) {
+        return static_cast<std::size_t>((from + to) % 3);
+      };
       std::vector<std::size_t> send_counts(static_cast<std::size_t>(images));
-      std::vector<std::size_t> recv_counts(
-          static_cast<std::size_t>(images),
-          static_cast<std::size_t>(world.rank() + 1));
+      std::vector<std::size_t> recv_counts(static_cast<std::size_t>(images));
       for (int j = 0; j < images; ++j) {
         send_counts[static_cast<std::size_t>(j)] =
-            static_cast<std::size_t>(j + 1);
+            pair_count(world.rank(), j);
+        recv_counts[static_cast<std::size_t>(j)] =
+            pair_count(j, world.rank());
       }
       std::vector<long> send(std::accumulate(send_counts.begin(),
                                              send_counts.end(),
                                              std::size_t{0}));
       std::size_t at = 0;
       for (int j = 0; j < images; ++j) {
-        for (std::size_t i = 0; i <= static_cast<std::size_t>(j); ++i) {
+        for (std::size_t i = 0; i < pair_count(world.rank(), j); ++i) {
           send[at++] = world.rank() * 10000L + j * 100L +
                        static_cast<long>(i);
         }
       }
-      std::vector<long> recv(
-          static_cast<std::size_t>(images) *
-              static_cast<std::size_t>(world.rank() + 1),
-          -1);
+      std::vector<long> recv(std::accumulate(recv_counts.begin(),
+                                             recv_counts.end(),
+                                             std::size_t{0}),
+                             -1);
       Event done;
       alltoallv_async<long>(world, send, send_counts, recv, recv_counts,
                             {.local_done = done.handle()});
       done.wait();
       at = 0;
       for (int from = 0; from < images; ++from) {
-        for (std::size_t i = 0; i <= static_cast<std::size_t>(world.rank());
-             ++i) {
+        for (std::size_t i = 0; i < pair_count(from, world.rank()); ++i) {
           EXPECT_EQ(recv[at++], from * 10000L + world.rank() * 100L +
                                     static_cast<long>(i));
         }
       }
+      EXPECT_EQ(at, recv.size());
       team_barrier(world);
     }
   });

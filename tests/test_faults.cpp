@@ -464,8 +464,13 @@ TEST(FaultyRun, SpawnFanoutCountsEachHandlerExactlyOnce) {
 }
 
 TEST(FaultyRun, CollectivesSurviveDrop) {
+  // The 64 KiB stages travel as one shared bulk buffer that retransmits,
+  // duplicates and every tree edge reference; results are still checked
+  // against an oracle.
+  constexpr std::size_t kWords = 64 * 1024 / sizeof(long);
+  FaultStats faults;
   for (int images : {2, 4, 7}) {
-    run(faulty_options(images, 0.10), [images] {
+    const RunStats stats = run_stats(faulty_options(images, 0.10), [images] {
       Team world = team_world();
       const long mine = (this_image() + 1) * 10;
       const long total = allreduce<long>(world, mine, RedOp::kSum);
@@ -474,9 +479,45 @@ TEST(FaultyRun, CollectivesSurviveDrop) {
         expect += (i + 1) * 10;
       }
       EXPECT_EQ(total, expect);
+
+      const int root = images - 1;
+      std::vector<long> bcast(kWords, 0);
+      if (world.rank() == root) {
+        for (std::size_t i = 0; i < kWords; ++i) {
+          bcast[i] = static_cast<long>(3 * i + 1);
+        }
+      }
+      Event bcast_done;
+      broadcast_async<long>(world, bcast, root,
+                            {.local_done = bcast_done.handle()});
+      bcast_done.wait();
+      std::size_t bad = 0;
+      for (std::size_t i = 0; i < kWords; ++i) {
+        bad += bcast[i] != static_cast<long>(3 * i + 1);
+      }
+      EXPECT_EQ(bad, 0u);
+
+      std::vector<long> big(kWords);
+      for (std::size_t i = 0; i < kWords; ++i) {
+        big[i] = (world.rank() + 1) * static_cast<long>(i + 1);
+      }
+      Event reduce_done;
+      allreduce_async<long>(world, big, RedOp::kSum,
+                            {.local_done = reduce_done.handle()});
+      reduce_done.wait();
+      const long ranks_sum = images * (images + 1) / 2;
+      bad = 0;
+      for (std::size_t i = 0; i < kWords; ++i) {
+        bad += big[i] != ranks_sum * static_cast<long>(i + 1);
+      }
+      EXPECT_EQ(bad, 0u);
       team_barrier(world);
     });
+    faults.retransmits += stats.faults.retransmits;
+    faults.deliveries_duplicated += stats.faults.deliveries_duplicated;
   }
+  EXPECT_GT(faults.retransmits, 0u);
+  EXPECT_GT(faults.deliveries_duplicated, 0u);
 }
 
 TEST(FaultyRun, UtsCountsTheSameTreeUnderDrop) {

@@ -8,6 +8,7 @@
 
 #include "net/network.hpp"
 #include "sim/participant.hpp"
+#include "support/error.hpp"
 
 namespace {
 
@@ -132,6 +133,11 @@ TEST(Network, JitterCanReorderDeliveries) {
 TEST(Network, TrafficCountersPerImage) {
   sim::Engine engine(3);
   Network network(engine, test_params(), 1);
+  // A bulk attachment is wire data like the payload: counters and the
+  // timing plan charge payload + bulk (4 + 96 B -> 1 us to inject).
+  const std::vector<std::uint8_t> bytes(96, 7);
+  const SharedBytes bulk = SharedBytes::copy_of(bytes);
+  double staged_at = -1;
   engine.run([&](int id) {
     sim::Engine& e = sim::this_engine();
     if (id == 0) {
@@ -142,17 +148,59 @@ TEST(Network, TrafficCountersPerImage) {
         message.payload.assign(10, 0);
         network.send(std::move(message));
       }
+      Message message;
+      message.header.source = 0;
+      message.header.dest = 1;
+      message.payload.assign(4, 0);
+      message.bulk = bulk;
+      EXPECT_EQ(message.size_bytes(), 100u);
+      SendCallbacks callbacks;
+      callbacks.on_staged = [&] { staged_at = e.now(); };
+      network.send(std::move(message), std::move(callbacks));
     }
     e.advance(100.0);
   });
-  EXPECT_EQ(network.messages_sent(), 3u);
-  EXPECT_EQ(network.bytes_sent(), 30u);
-  EXPECT_EQ(network.traffic(0).messages_out, 3u);
-  EXPECT_EQ(network.traffic(1).messages_in, 1u);
+  EXPECT_DOUBLE_EQ(staged_at, 1.0);
+  EXPECT_EQ(network.messages_sent(), 4u);
+  EXPECT_EQ(network.bytes_sent(), 130u);
+  EXPECT_EQ(network.traffic(0).messages_out, 4u);
+  EXPECT_EQ(network.traffic(0).bytes_out, 130u);
+  EXPECT_EQ(network.traffic(1).messages_in, 2u);
+  EXPECT_EQ(network.traffic(1).bytes_in, 110u);
   EXPECT_EQ(network.traffic(2).messages_in, 2u);
   EXPECT_EQ(network.traffic(2).bytes_in, 20u);
+  // The delivered message carries the sender's buffer, not a copy of it.
+  int bulk_deliveries = 0;
+  while (auto message = network.mailbox(1).try_pop()) {
+    if (!message->bulk.empty()) {
+      ++bulk_deliveries;
+      EXPECT_EQ(message->bulk.data(), bulk.data());
+    }
+  }
+  EXPECT_EQ(bulk_deliveries, 1);
   network.reset_traffic();
   EXPECT_EQ(network.traffic(2).messages_in, 0u);
+}
+
+TEST(SharedBytes, CopiesShareOneImmutableBuffer) {
+  const SharedBytes empty = SharedBytes::copy_of(nullptr, 0);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.data(), nullptr);
+  EXPECT_EQ(empty.size(), 0u);
+
+  const std::vector<std::uint8_t> bytes{1, 2, 3};
+  SharedBytes owner = SharedBytes::copy_of(bytes);
+  ASSERT_EQ(owner.size(), 3u);
+  EXPECT_NE(owner.data(), bytes.data());  // a snapshot, not a view
+  owner.mutable_data()[0] = 9;            // sole owner: writable
+  SharedBytes copy = owner;
+  EXPECT_EQ(copy.data(), owner.data());
+  EXPECT_EQ(copy.data()[0], 9);
+  EXPECT_THROW(owner.mutable_data(), FatalError);  // shared: immutable
+  owner.reset();
+  EXPECT_TRUE(owner.empty());
+  EXPECT_EQ(copy.data()[2], 3);  // the remaining handle keeps the bytes
+  EXPECT_NE(copy.mutable_data(), nullptr);
 }
 
 TEST(Network, InstantParamsDeliverAtOnce) {
