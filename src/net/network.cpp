@@ -46,8 +46,8 @@ Network::Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed)
   rel_shards_.resize(
       engine.sharded() ? static_cast<std::size_t>(engine.shard_count()) : 1);
   if (reliable_) {
-    links_.resize(static_cast<std::size_t>(engine.size()) *
-                  static_cast<std::size_t>(engine.size()));
+    send_links_.resize(static_cast<std::size_t>(engine.size()));
+    recv_links_.resize(static_cast<std::size_t>(engine.size()));
     max_extra_delay_us_ = params_.faults.all.delay_max_us;
     for (const LinkFaults& link : params_.faults.links) {
       max_extra_delay_us_ = std::max(max_extra_delay_us_, link.delay_max_us);
@@ -425,7 +425,7 @@ void Network::send_staged_cross(
 
 /// --- reliable-delivery protocol ----------------------------------------------
 
-bool Network::LinkState::accept(std::uint64_t seq) {
+bool Network::ReceiverLink::accept(std::uint64_t seq) {
   if (seq < dedup_floor || seen.contains(seq)) {
     return false;
   }
@@ -437,10 +437,23 @@ bool Network::LinkState::accept(std::uint64_t seq) {
   return true;
 }
 
-Network::LinkState& Network::link(int source, int dest) {
-  return links_[static_cast<std::size_t>(source) *
-                    static_cast<std::size_t>(size()) +
-                static_cast<std::size_t>(dest)];
+Network::SenderLink& Network::sender_link(int source, int dest) {
+  return send_links_[static_cast<std::size_t>(source)][dest];
+}
+
+Network::ReceiverLink& Network::receiver_link(int source, int dest) {
+  return recv_links_[static_cast<std::size_t>(dest)][source];
+}
+
+Network::LinkRecords Network::link_records() const {
+  LinkRecords records;
+  for (const auto& links : send_links_) {
+    records.senders += links.size();
+  }
+  for (const auto& links : recv_links_) {
+    records.receivers += links.size();
+  }
+  return records;
 }
 
 double Network::auto_rto(double inject_us) const {
@@ -453,7 +466,8 @@ double Network::auto_rto(double inject_us) const {
 std::uint64_t Network::admit_flight(Message message, SendCallbacks callbacks,
                                     double inject_us) {
   account_send(message);
-  LinkState& sender = link(message.header.source, message.header.dest);
+  SenderLink& sender =
+      sender_link(message.header.source, message.header.dest);
   ReliableShard& cell = rel_shard();
   CAF2_ASSERT(cell.next_flight_id < (std::uint64_t{1} << 48),
               "admit_flight: per-shard flight-id counter overflow");
@@ -666,7 +680,7 @@ void Network::deliver_attempt(const std::shared_ptr<const Message>& message,
                               std::uint64_t seq, std::uint64_t flight_id,
                               bool ack_dropped) {
   const MessageHeader& header = message->header;
-  LinkState& receiver = link(header.source, header.dest);
+  ReceiverLink& receiver = receiver_link(header.source, header.dest);
   ReliableShard& cell = rel_shard_of(flight_id);  // == the calling shard's
   if (receiver.accept(seq)) {
     const std::size_t dest = static_cast<std::size_t>(header.dest);
@@ -729,9 +743,9 @@ void Network::deliver_attempt_cross(
     const std::shared_ptr<const Message>& message, std::uint64_t seq,
     double first_sent_us, double expected_deliver_us) {
   const MessageHeader& header = message->header;
-  // The link's dedup fields are only ever touched here, on the destination
-  // shard; its sender fields only on the source shard.
-  LinkState& receiver = link(header.source, header.dest);
+  // The link's receiver half is only ever touched on the destination shard,
+  // its sender half only on the source shard.
+  ReceiverLink& receiver = receiver_link(header.source, header.dest);
   if (!receiver.accept(seq)) {
     // Dedup hits are the one counter charged to the destination shard.
     rel_shard().stats.duplicates_suppressed += 1;

@@ -57,10 +57,12 @@
 /// Protocol state is owned by the *source* shard: retained flights, flight
 /// ids, retransmit timers, and the fault counters live in per-shard cells
 /// (ReliableShard), and each shard rolls its attempts from its own fault
-/// stream. A link's sender fields (next_seq, initiated) are only ever
-/// touched by the source image's shard and its dedup fields (dedup_floor,
-/// seen) only by the destination's, so LinkState needs no further
-/// partitioning. Every fault decision of an attempt — including both ack
+/// stream. Link state is split in two halves created on first use: the
+/// sender half (next_seq, initiated) is kept per source image and only ever
+/// touched by the source image's shard, the receiver half (dedup_floor, seen)
+/// per destination image and only touched by the destination's shard. Neither
+/// needs a lock, and an image holds one record per peer it talks to, not one
+/// per image. Every fault decision of an attempt — including both ack
 /// losses — is rolled at the sender before anything is scheduled, and the
 /// receiver acknowledges every non-ack-dropped physical delivery regardless
 /// of its dedup outcome; the sender can therefore schedule handle_ack at the
@@ -78,6 +80,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/mailbox.hpp"
@@ -169,6 +172,15 @@ class Network {
   /// Number of reliable messages currently unacknowledged (summed over
   /// shards).
   std::size_t inflight_reliable() const;
+
+  /// Reliable-link records currently held: sender halves summed over source
+  /// images and receiver halves summed over destination images (both zero
+  /// when reliable() is off). Each is created on a link's first use.
+  struct LinkRecords {
+    std::size_t senders = 0;
+    std::size_t receivers = 0;
+  };
+  LinkRecords link_records() const;
 
   /// Watchdog-report section: in-flight reliable messages (sender, receiver,
   /// sequence number, attempts, age) plus the fault counters. Thin shim over
@@ -263,14 +275,18 @@ class Network {
 
   /// --- reliable-delivery protocol ------------------------------------------
 
-  /// Per-(source, dest) link state. The sender side assigns sequence numbers
-  /// and initiation ordinals; the receiver side keeps the dedup window: the
-  /// set of seen sequence numbers at or above `dedup_floor`, compacted by
-  /// advancing the floor over contiguous runs (everything below the floor
-  /// has been seen).
-  struct LinkState {
+  /// Sender half of a (source, dest) link: assigns sequence numbers and
+  /// initiation ordinals. Touched only by the source image's shard.
+  struct SenderLink {
     std::uint64_t next_seq = 0;
     std::uint64_t initiated = 0;
+  };
+
+  /// Receiver half of a (source, dest) link: the dedup window, i.e. the set
+  /// of seen sequence numbers at or above `dedup_floor`, compacted by
+  /// advancing the floor over contiguous runs (everything below the floor
+  /// has been seen). Touched only by the destination image's shard.
+  struct ReceiverLink {
     std::uint64_t dedup_floor = 0;
     std::set<std::uint64_t> seen;
 
@@ -354,7 +370,9 @@ class Network {
   /// round trip, including the largest configured fault delay.
   double auto_rto(double inject_us) const;
 
-  LinkState& link(int source, int dest);
+  /// The link halves, created on first use.
+  SenderLink& sender_link(int source, int dest);
+  ReceiverLink& receiver_link(int source, int dest);
 
   sim::Engine& engine_;
   NetworkParams params_;
@@ -379,7 +397,11 @@ class Network {
   /// mirroring shard_jitter_: each shard's attempt decisions are a pure
   /// function of its own deterministic execution.
   std::vector<Xoshiro256ss> shard_fault_;
-  std::vector<LinkState> links_;  ///< size() * size(), row-major by source
+  /// send_links_[source][dest] and recv_links_[dest][source]: one map per
+  /// image (size() entries when reliable_, else empty), each holding only the
+  /// peers that image has sent to or received from.
+  std::vector<std::unordered_map<int, SenderLink>> send_links_;
+  std::vector<std::unordered_map<int, ReceiverLink>> recv_links_;
   /// Per-shard reliable-protocol cell: the flights retained by this (source)
   /// shard, its flight-id counter, and its fault counters. Flight ids are
   /// (shard << 48) | local, so id >> 48 recovers the owning cell from

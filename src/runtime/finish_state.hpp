@@ -19,7 +19,7 @@
 /// a reduction wave sums a consistent cut.
 
 #include <cstdint>
-#include <vector>
+#include <unordered_map>
 
 #include "net/message.hpp"
 
@@ -118,22 +118,21 @@ class FinishState {
            received_total() == completed_total();
   }
 
-  /// Per-destination send counts (world ranks), maintained for the X10-style
-  /// centralized vector-counting detector.
-  void count_sent_dest(int dest) {
-    if (sent_to_.size() <= static_cast<std::size_t>(dest)) {
-      sent_to_.resize(static_cast<std::size_t>(dest) + 1, 0);
-    }
-    sent_to_[static_cast<std::size_t>(dest)] += 1;
+  /// Per-destination send counts keyed by world rank, maintained for the
+  /// X10-style centralized vector-counting detector. Sparse: one entry per
+  /// peer this image sent to in the scope, so the table is O(communication
+  /// degree); the detector expands it to its p-wide vector at send time.
+  void count_sent_dest(int dest) { sent_to_[dest] += 1; }
+  const std::unordered_map<int, std::int64_t>& sent_to() const {
+    return sent_to_;
   }
-  const std::vector<std::int64_t>& sent_to() const { return sent_to_; }
 
  private:
   EpochCounters& epoch(bool odd) { return odd ? odd_ : even_; }
 
   EpochCounters even_{};
   EpochCounters odd_{};
-  std::vector<std::int64_t> sent_to_;
+  std::unordered_map<int, std::int64_t> sent_to_;
   bool present_odd_ = false;
   bool entered_ = false;
   bool terminated_ = false;

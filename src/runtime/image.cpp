@@ -6,15 +6,12 @@ namespace caf2::rt {
 
 Image::Image(Runtime& runtime, int rank, std::uint64_t seed)
     : runtime_(runtime), rank_(rank), rng_(seed) {
-  // Every image starts as a member of team_world (id 0).
+  // Every image starts as a member of team_world (id 0), whose member list
+  // the runtime builds once and shares.
   auto world = std::make_shared<TeamData>();
   world->id = 0;
   world->my_rank = rank;
-  world->members.resize(
-      static_cast<std::size_t>(runtime.options().num_images));
-  for (int i = 0; i < runtime.options().num_images; ++i) {
-    world->members[static_cast<std::size_t>(i)] = i;
-  }
+  world->members = runtime.world_members();
   teams_.emplace(0, std::move(world));
 }
 

@@ -1,6 +1,7 @@
 #include "runtime/runtime.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <string_view>
 
 #include "obs/blame.hpp"
@@ -107,6 +108,10 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   }
   engine_->set_postmortem_collector(
       [this](obs::Postmortem& pm) { fill_postmortem(pm); });
+  std::vector<int> world_members(static_cast<std::size_t>(options_.num_images));
+  std::iota(world_members.begin(), world_members.end(), 0);
+  world_members_ =
+      std::make_shared<const std::vector<int>>(std::move(world_members));
   SplitMix64 seeder(options_.seed);
   images_.reserve(static_cast<std::size_t>(options_.num_images));
   for (int rank = 0; rank < options_.num_images; ++rank) {
@@ -251,7 +256,7 @@ std::vector<int> raw_satisfiers(const obs::ResourceId& resource,
     case obs::ResourceKind::kSplit: {
       const auto team = any_image.find_team(static_cast<int>(resource.a));
       if (team != nullptr) {
-        out = team->members;
+        out = *team->members;
       } else {
         for (int rank = 0; rank < num_images; ++rank) {
           out.push_back(rank);

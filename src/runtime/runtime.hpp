@@ -91,6 +91,12 @@ class Runtime {
   Image& image(int rank) { return *images_[static_cast<std::size_t>(rank)]; }
   int num_images() const { return static_cast<int>(images_.size()); }
 
+  /// team_world's member list (0 .. num_images-1), built once and shared by
+  /// every image's world TeamData.
+  const std::shared_ptr<const std::vector<int>>& world_members() const {
+    return world_members_;
+  }
+
   /// The observability recorder, or nullptr when ObsConfig::enabled is off.
   /// Instrumentation sites in runtime/, ops/, and kernels/ test this pointer
   /// — that single branch is their whole disabled-mode cost.
@@ -127,6 +133,7 @@ class Runtime {
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<obs::Recorder> observer_;
   std::unique_ptr<obs::FlightRecorder> flight_recorder_;
+  std::shared_ptr<const std::vector<int>> world_members_;
   std::vector<std::unique_ptr<Image>> images_;
   std::map<net::HandlerId, HandlerFn> handlers_;
   std::mutex split_mutex_;

@@ -8,8 +8,10 @@
 /// All images start in team_world; new teams are created collectively with
 /// split(color, key).
 ///
-/// Team is a cheap value handle; the underlying TeamData is immutable and
-/// per-image (each member holds its own copy with its own rank).
+/// Team is a cheap value handle. Each member holds its own small immutable
+/// TeamData (id and its own rank); the member list inside it is one immutable
+/// vector shared by every member of the team: team_world's is built once per
+/// runtime, a split team's once at the split rendezvous.
 
 #include <memory>
 #include <vector>
@@ -25,8 +27,9 @@ class Runtime;
 
 struct TeamData {
   int id = -1;
-  int my_rank = -1;              ///< calling image's rank within the team
-  std::vector<int> members;      ///< world ranks indexed by team rank
+  int my_rank = -1;  ///< calling image's rank within the team
+  /// World ranks indexed by team rank; one list shared by every member.
+  std::shared_ptr<const std::vector<int>> members;
 };
 
 class Team {
@@ -43,7 +46,7 @@ class Team {
   int rank() const { return require().my_rank; }
 
   /// Number of member images.
-  int size() const { return static_cast<int>(require().members.size()); }
+  int size() const { return static_cast<int>(require().members->size()); }
 
   /// World rank of the member with team rank \p team_rank.
   int world_rank(int team_rank) const;
@@ -60,7 +63,7 @@ class Team {
   /// All members of this team must call split (SPMD).
   Team split(int color, int key) const;
 
-  const std::vector<int>& members() const { return require().members; }
+  const std::vector<int>& members() const { return *require().members; }
 
  private:
   const TeamData& require() const {

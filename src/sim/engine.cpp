@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -11,16 +12,32 @@
 
 namespace caf2::sim {
 
+namespace {
+/// The value of environment variable \p name, or nullptr when it is unset or
+/// empty (an empty value means "unset": CI exports "" for unused switches).
+const char* env_value(const char* name) {
+  const char* env = std::getenv(name);
+  return env != nullptr && *env != '\0' ? env : nullptr;
+}
+
+/// Diagnostic for an environment variable holding an unusable value.
+std::string bad_env(const char* name, const char* value,
+                    const char* expected) {
+  return std::string(name) + "='" + value + "' is not valid (expected " +
+         expected + ")";
+}
+}  // namespace
+
 ExecBackend resolve_backend(ExecBackend configured) {
   ExecBackend backend = configured;
-  if (const char* env = std::getenv("CAF2_SIM_BACKEND");
-      env != nullptr && *env != '\0') {
+  if (const char* env = env_value("CAF2_SIM_BACKEND")) {
     if (std::strcmp(env, "threads") == 0) {
       backend = ExecBackend::kThreads;
-    } else if (std::strcmp(env, "fibers") == 0) {
+    } else {
+      CAF2_REQUIRE(std::strcmp(env, "fibers") == 0,
+                   bad_env("CAF2_SIM_BACKEND", env, "threads or fibers"));
       backend = ExecBackend::kFibers;
     }
-    // Unknown values fall through to whatever was configured.
   }
   if (backend == ExecBackend::kAuto) {
     backend = fibers_supported() ? ExecBackend::kFibers : ExecBackend::kThreads;
@@ -34,26 +51,24 @@ int resolve_shards(int configured) {
   if (configured >= 1) {
     return configured;  // an explicit request always wins over the env
   }
-  if (const char* env = std::getenv("CAF2_SIM_SHARDS");
-      env != nullptr && *env != '\0') {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1) {
-      return parsed;
-    }
+  if (const char* env = env_value("CAF2_SIM_SHARDS")) {
+    int parsed = 0;
+    const char* end = env + std::strlen(env);
+    const auto [stop, error] = std::from_chars(env, end, parsed);
+    CAF2_REQUIRE(error == std::errc{} && stop == end && parsed >= 1,
+                 bad_env("CAF2_SIM_SHARDS", env, "a positive integer"));
+    return parsed;
   }
   return 1;
 }
 
 bool resolve_adaptive_lookahead(bool configured) {
-  if (const char* env = std::getenv("CAF2_SIM_ADAPTIVE_LOOKAHEAD");
-      env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0) {
-      return false;
-    }
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0) {
-      return true;
-    }
-    // Unknown values fall through to whatever was configured.
+  if (const char* env = env_value("CAF2_SIM_ADAPTIVE_LOOKAHEAD")) {
+    const bool off = std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0;
+    const bool on = std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0;
+    CAF2_REQUIRE(off || on, bad_env("CAF2_SIM_ADAPTIVE_LOOKAHEAD", env,
+                                    "0, off, 1 or on"));
+    return on;
   }
   return configured;
 }

@@ -136,18 +136,23 @@ class Engine;
 /// threads where fibers are unsupported (ThreadSanitizer builds). This is
 /// exactly the resolution the Engine constructor performs; exposed so tools
 /// (bench metadata stamps) can report the backend without building an engine.
+/// A value other than "threads" or "fibers" throws caf2::UsageError naming
+/// the variable; an empty value counts as unset (likewise below).
 ExecBackend resolve_backend(ExecBackend configured);
 
 /// The shard count a given configuration requests before the Engine clamps
 /// it against the participant count and the lookahead: an explicit
 /// `configured >= 1` wins; `configured <= 0` reads CAF2_SIM_SHARDS and
-/// defaults to 1. Exposed for bench metadata stamps.
+/// defaults to 1. CAF2_SIM_SHARDS must be a whole positive decimal integer
+/// ("4x", "abc", "0" and "-2" throw caf2::UsageError). Exposed for bench
+/// metadata stamps.
 int resolve_shards(int configured);
 
 /// Whether a sharded engine uses adaptive lookahead windows: the environment
 /// variable CAF2_SIM_ADAPTIVE_LOOKAHEAD ("0"/"off" forces static, "1"/"on"
-/// forces adaptive) overrides \p configured. Exposed for bench metadata
-/// stamps; meaningless for unsharded runs.
+/// forces adaptive) overrides \p configured; any other value throws
+/// caf2::UsageError. Exposed for bench metadata stamps; meaningless for
+/// unsharded runs.
 bool resolve_adaptive_lookahead(bool configured);
 
 /// Everything that makes the calling context "participant N of engine E".

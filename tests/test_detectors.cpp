@@ -96,6 +96,39 @@ TEST_P(AllDetectors, EmptyScopeTerminates) {
   });
 }
 
+void slow_bump(Coref<long> counter) {
+  compute(20.0);  // still running when a premature verdict would land
+  counter.local()[0] += 1;
+}
+
+TEST_P(AllDetectors, SparseSendersCountedAtTheirRanks) {
+  // Only two images send: the highest rank to rank 0 and rank 1 to the
+  // highest rank. The centralized detector expands each image's sparse
+  // per-peer table into its p-wide vector; a count at the wrong index
+  // would end the scope early or never.
+  const DetectorKind detector = GetParam();
+  run(det_options(6), [detector] {
+    Team world = team_world();
+    const int last = world.size() - 1;
+    Coarray<long> counter(world, 1);
+    counter[0] = 0;
+    team_barrier(world);
+    finish(
+        world,
+        [&] {
+          if (world.rank() == last) {
+            spawn<slow_bump>(0, counter.ref());
+          } else if (world.rank() == 1) {
+            spawn<slow_bump>(last, counter.ref());
+          }
+        },
+        FinishOptions{detector});
+    const bool target = world.rank() == 0 || world.rank() == last;
+    EXPECT_EQ(counter[0], target ? 1 : 0);
+    team_barrier(world);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Kinds, AllDetectors,
     ::testing::Values(DetectorKind::kEpoch, DetectorKind::kSpeculative,

@@ -407,6 +407,42 @@ RuntimeOptions faulty_options(int images, double drop) {
   return options;
 }
 
+TEST(ReliableDelivery, LinkStateHeldOnlyForLinksInUse) {
+  // A 64-image ring under the lossy plan: every image sends only to its
+  // successor, so the network holds one sender and one receiver link record
+  // per image, not one per (source, dest) pair.
+  constexpr int kImages = 64;
+  constexpr int kPerLink = 4;
+  sim::Engine engine(kImages);
+  Network network(engine, faulty_options(kImages, 0.10).net, 7);
+  engine.run([&](int id) {
+    sim::Engine& e = sim::this_engine();
+    for (int k = 0; k < kPerLink; ++k) {
+      Message message;
+      message.header.source = id;
+      message.header.dest = (id + 1) % kImages;
+      message.header.handler = 7;
+      message.payload.assign(4, static_cast<std::uint8_t>(k));
+      network.send(std::move(message));
+    }
+    int delivered = 0;
+    while (delivered < kPerLink) {
+      if (network.mailbox(id).try_pop()) {
+        delivered += 1;
+      } else {
+        e.block("waiting for the predecessor");
+      }
+    }
+    e.advance(1'000'000.0);  // outlive every retransmission and ack
+  });
+  ASSERT_TRUE(network.reliable());
+  EXPECT_GT(network.fault_stats().retransmits, 0u);
+  EXPECT_EQ(network.inflight_reliable(), 0u);
+  const Network::LinkRecords records = network.link_records();
+  EXPECT_EQ(records.senders, static_cast<std::size_t>(kImages));
+  EXPECT_EQ(records.receivers, static_cast<std::size_t>(kImages));
+}
+
 void bump(Coref<long> counter) { counter.local()[0] += 1; }
 
 void chain(std::int32_t remaining, Coref<long> counter) {

@@ -132,13 +132,12 @@ TEST(FiberBackend, EnvVarOverridesOptions) {
     Engine engine(2, options);
     EXPECT_EQ(engine.backend(), caf2::ExecBackend::kFibers);
   }
-  // Unknown values are ignored, not fatal.
+  // Unknown values fail with a diagnostic instead of being ignored.
   ASSERT_EQ(setenv("CAF2_SIM_BACKEND", "hamsters", 1), 0);
   {
     EngineOptions options;
     options.backend = caf2::ExecBackend::kThreads;
-    Engine engine(2, options);
-    EXPECT_EQ(engine.backend(), caf2::ExecBackend::kThreads);
+    EXPECT_THROW(Engine(2, options), caf2::UsageError);
   }
   unsetenv("CAF2_SIM_BACKEND");
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/caf2.hpp"
+#include "runtime/image.hpp"
 
 namespace {
 
@@ -273,6 +274,30 @@ TEST(Finish, ImplicitCopiesGloballyCompleteAtEnd) {
     });
     const int prev = (world.rank() + world.size() - 1) % world.size();
     EXPECT_EQ(ring[0], prev);
+    team_barrier(world);
+  });
+}
+
+TEST(Finish, PerPeerSendTableHoldsOnlyPeersSentTo) {
+  // The per-destination send counts are sparse: a ring image that sent only
+  // to its successor holds one entry, even at the highest rank.
+  run(finish_options(64), [] {
+    Team world = team_world();
+    Coarray<int> ring(world, 8);
+    team_barrier(world);
+    std::vector<int> payload(8, world.rank());
+    const int next = (world.rank() + 1) % world.size();
+    finish(world, [&] {
+      copy_async(ring(next), std::span<const int>(payload));
+      copy_async(ring(next), std::span<const int>(payload));
+      cofence();
+      rt::Image& image = rt::Image::current();
+      const auto& sent_to =
+          image.finish_state(image.current_finish()).sent_to();
+      ASSERT_EQ(sent_to.size(), 1u);
+      ASSERT_TRUE(sent_to.contains(next));
+      EXPECT_EQ(sent_to.at(next), 2);
+    });
     team_barrier(world);
   });
 }

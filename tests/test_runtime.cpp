@@ -104,6 +104,42 @@ TEST(Team, SplitsAreCollectiveButIndependentAcrossTeams) {
   });
 }
 
+TEST(Team, WorldMemberListIsSharedByEveryImage) {
+  // One list per runtime, not one per image: every image's team_world
+  // points at the same storage.
+  constexpr int kImages = 16;
+  std::vector<const int*> lists(kImages, nullptr);
+  run(options_with(kImages), [&lists] {
+    lists[static_cast<std::size_t>(this_image())] =
+        team_world().members().data();
+  });
+  ASSERT_NE(lists[0], nullptr);
+  for (const int* list : lists) {
+    EXPECT_EQ(list, lists[0]);
+  }
+}
+
+TEST(Team, SplitMembersOfOneColorShareTheirList) {
+  constexpr int kImages = 12;
+  std::vector<const int*> lists(kImages, nullptr);
+  run(options_with(kImages), [&lists] {
+    Team world = team_world();
+    Team sub = world.split(world.rank() % 3, world.rank());
+    lists[static_cast<std::size_t>(this_image())] = sub.members().data();
+  });
+  for (int image = 0; image < kImages; ++image) {
+    const auto index = static_cast<std::size_t>(image);
+    ASSERT_NE(lists[index], nullptr);
+    // Same color as image % 3: same list; the other colors: different ones.
+    for (int other = 0; other < kImages; ++other) {
+      const bool same_color = image % 3 == other % 3;
+      EXPECT_EQ(lists[index] == lists[static_cast<std::size_t>(other)],
+                same_color)
+          << "images " << image << " and " << other;
+    }
+  }
+}
+
 TEST(Team, InvalidTeamOperationsRejected) {
   Team invalid;
   EXPECT_FALSE(invalid.valid());

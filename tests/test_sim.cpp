@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -225,6 +229,102 @@ TEST(Engine, NegativeAdvanceRejected) {
   Engine engine(1);
   EXPECT_THROW(engine.run([](int) { this_engine().advance(-1.0); }),
                caf2::UsageError);
+}
+
+/// --- environment switches ----------------------------------------------------
+
+/// Sets an environment variable for one scope and restores the prior value
+/// (CI exports these switches for whole suites).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* prior = std::getenv(name)) {
+      prior_ = prior;
+    }
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (prior_) {
+      ::setenv(name_, prior_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> prior_;
+};
+
+/// The UsageError message \p call throws, or "" when it does not throw.
+std::string usage_error(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const caf2::UsageError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(EngineEnv, ShardCountParsedStrictly) {
+  for (const char* bad : {"4x", "abc", "-2", "0", " 3", "99999999999"}) {
+    ScopedEnv env("CAF2_SIM_SHARDS", bad);
+    const std::string message = usage_error([] { resolve_shards(0); });
+    EXPECT_NE(message.find(std::string("CAF2_SIM_SHARDS='") + bad + "'"),
+              std::string::npos)
+        << "value '" << bad << "': " << message;
+  }
+  {
+    ScopedEnv env("CAF2_SIM_SHARDS", "3");
+    EXPECT_EQ(resolve_shards(0), 3);
+    EXPECT_EQ(resolve_shards(2), 2);  // an explicit request wins
+  }
+  ScopedEnv empty("CAF2_SIM_SHARDS", "");  // empty means unset
+  EXPECT_EQ(resolve_shards(0), 1);
+}
+
+TEST(EngineEnv, BackendParsedStrictly) {
+  for (const char* bad : {"hamsters", "Threads", "fibers "}) {
+    ScopedEnv env("CAF2_SIM_BACKEND", bad);
+    const std::string message = usage_error(
+        [] { resolve_backend(caf2::ExecBackend::kThreads); });
+    EXPECT_NE(message.find(std::string("CAF2_SIM_BACKEND='") + bad + "'"),
+              std::string::npos)
+        << "value '" << bad << "': " << message;
+  }
+  {
+    ScopedEnv env("CAF2_SIM_BACKEND", "threads");
+    EXPECT_EQ(resolve_backend(caf2::ExecBackend::kFibers),
+              caf2::ExecBackend::kThreads);
+  }
+  ScopedEnv empty("CAF2_SIM_BACKEND", "");
+  EXPECT_EQ(resolve_backend(caf2::ExecBackend::kThreads),
+            caf2::ExecBackend::kThreads);
+}
+
+TEST(EngineEnv, AdaptiveLookaheadParsedStrictly) {
+  for (const char* bad : {"yes", "2", "OFF"}) {
+    ScopedEnv env("CAF2_SIM_ADAPTIVE_LOOKAHEAD", bad);
+    const std::string message =
+        usage_error([] { resolve_adaptive_lookahead(true); });
+    EXPECT_NE(message.find(std::string("CAF2_SIM_ADAPTIVE_LOOKAHEAD='") +
+                           bad + "'"),
+              std::string::npos)
+        << "value '" << bad << "': " << message;
+  }
+  for (const char* off : {"0", "off"}) {
+    ScopedEnv env("CAF2_SIM_ADAPTIVE_LOOKAHEAD", off);
+    EXPECT_FALSE(resolve_adaptive_lookahead(true));
+  }
+  for (const char* on : {"1", "on"}) {
+    ScopedEnv env("CAF2_SIM_ADAPTIVE_LOOKAHEAD", on);
+    EXPECT_TRUE(resolve_adaptive_lookahead(false));
+  }
+  ScopedEnv empty("CAF2_SIM_ADAPTIVE_LOOKAHEAD", "");
+  EXPECT_TRUE(resolve_adaptive_lookahead(true));
+  EXPECT_FALSE(resolve_adaptive_lookahead(false));
 }
 
 }  // namespace
