@@ -15,9 +15,9 @@
 ///     because recording never touches the engine (no events scheduled, no
 ///     blocking, no RNG draws).
 ///   - No locking: exactly one simulated context runs at a time (the engine's
-///     token discipline), and postmortem collection happens either under the
-///     engine mutex (thread backend) or on the only running context (fiber
-///     backend), so reads are ordered after all writes.
+///     token discipline), and postmortem collection happens on the only
+///     running context (or at the window barrier, every shard quiesced), so
+///     reads are ordered after all writes.
 ///   - `label` fields must point at string literals (or other storage that
 ///     outlives the recorder); the ring stores the pointer, not a copy.
 

@@ -11,7 +11,7 @@ namespace caf2::rt {
 
 namespace {
 // The current image/runtime live in engine context slots, not raw
-// thread_locals: with the fiber backend many images share one OS thread and
+// thread_locals: as fibers, many images share one OS thread and
 // the engine swaps slot contents on every fiber switch (sim/engine.hpp,
 // ExecContext). Slot 0: Image*, slot 1: Runtime*.
 constexpr int kImageSlot = 0;
@@ -77,7 +77,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   engine_options.max_events = options_.max_events;
   engine_options.label = options_.label;
   engine_options.enable_fastpath = options_.sim_fastpath;
-  engine_options.backend = options_.sim_backend;
   engine_options.watchdog_quiet_us = options_.watchdog_quiet_us;
   engine_options.shards = options_.shards;
   // The conservative lookahead for sharded execution is the network's wire
@@ -127,7 +126,7 @@ std::shared_ptr<const obs::Capture> Runtime::take_capture() {
     return nullptr;
   }
   return std::make_shared<const obs::Capture>(
-      observer_->take(engine_->now(), engine_->backend()));
+      observer_->take(engine_->now()));
 }
 
 void Runtime::set_handler(net::HandlerId id, HandlerFn fn) {
@@ -387,13 +386,8 @@ void Runtime::fill_postmortem(obs::Postmortem& pm) {
 
   if (observer_ != nullptr) {
     pm.blame = std::make_shared<const obs::BlameReport>(obs::analyze_blame(
-        observer_->snapshot(engine_->now(), engine_->backend())));
+        observer_->snapshot(engine_->now())));
   }
-}
-
-std::string Runtime::watchdog_report() {
-  return obs::runtime_sections_text(
-      engine_->snapshot_postmortem("watchdog report"));
 }
 
 obs::Postmortem Runtime::dump_postmortem() {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
@@ -26,26 +27,20 @@ std::string bad_env(const char* name, const char* value,
   return std::string(name) + "='" + value + "' is not valid (expected " +
          expected + ")";
 }
-}  // namespace
 
-ExecBackend resolve_backend(ExecBackend configured) {
-  ExecBackend backend = configured;
-  if (const char* env = env_value("CAF2_SIM_BACKEND")) {
-    if (std::strcmp(env, "threads") == 0) {
-      backend = ExecBackend::kThreads;
-    } else {
-      CAF2_REQUIRE(std::strcmp(env, "fibers") == 0,
-                   bad_env("CAF2_SIM_BACKEND", env, "threads or fibers"));
-      backend = ExecBackend::kFibers;
-    }
+/// A boolean environment switch: "0"/"off" and "1"/"on" override \p
+/// configured; unset or empty keeps it; anything else throws
+/// caf2::UsageError naming the variable.
+bool env_flag(const char* name, bool configured) {
+  if (const char* env = env_value(name)) {
+    const bool off = std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0;
+    const bool on = std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0;
+    CAF2_REQUIRE(off || on, bad_env(name, env, "0, off, 1 or on"));
+    return on;
   }
-  if (backend == ExecBackend::kAuto) {
-    backend = fibers_supported() ? ExecBackend::kFibers : ExecBackend::kThreads;
-  } else if (backend == ExecBackend::kFibers && !fibers_supported()) {
-    backend = ExecBackend::kThreads;  // TSan builds: silent fallback
-  }
-  return backend;
+  return configured;
 }
+}  // namespace
 
 int resolve_shards(int configured) {
   if (configured >= 1) {
@@ -63,26 +58,17 @@ int resolve_shards(int configured) {
 }
 
 bool resolve_adaptive_lookahead(bool configured) {
-  if (const char* env = env_value("CAF2_SIM_ADAPTIVE_LOOKAHEAD")) {
-    const bool off = std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0;
-    const bool on = std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0;
-    CAF2_REQUIRE(off || on, bad_env("CAF2_SIM_ADAPTIVE_LOOKAHEAD", env,
-                                    "0, off, 1 or on"));
-    return on;
-  }
-  return configured;
+  return env_flag("CAF2_SIM_ADAPTIVE_LOOKAHEAD", configured);
 }
 
 namespace {
-/// The calling context's identity. Participant threads own theirs for the
-/// whole run; the fiber scheduler swaps it on every fiber switch (the
-/// suspended copy lives in Participant::context).
+/// The calling context's identity. The fiber scheduler swaps it on every
+/// fiber switch (the suspended copy lives in Participant::context).
 thread_local ExecContext tls_context;
 
 /// The shard the calling OS thread works for (multi-shard runs only). Set by
-/// shard workers for their whole tenure and by participant threads in the
-/// thread backend; fiber switches never change the OS thread, so unlike
-/// tls_context this needs no swapping.
+/// shard workers for their whole tenure; fiber switches never change the OS
+/// thread, so unlike tls_context this needs no swapping.
 struct ShardTls {
   Engine* engine = nullptr;
   int index = 0;
@@ -103,12 +89,8 @@ void*& Engine::context_slot(int index) {
 Engine::Engine(int participants, EngineOptions options)
     : options_(std::move(options)) {
   CAF2_REQUIRE(participants > 0, "Engine needs at least one participant");
-  fastpath_ = options_.enable_fastpath;
-  if (const char* env = std::getenv("CAF2_SIM_NO_FASTPATH");
-      env != nullptr && *env != '\0' && *env != '0') {
-    fastpath_ = false;
-  }
-  backend_ = resolve_backend(options_.backend);
+  fastpath_ =
+      options_.enable_fastpath && !env_flag("CAF2_SIM_NO_FASTPATH", false);
 
   int shard_count = resolve_shards(options_.shards);
   lookahead_ = options_.lookahead_us;
@@ -150,8 +132,8 @@ Engine::Engine(int participants, EngineOptions options)
 }
 
 Engine::~Engine() {
-  // run() joins all threads / finishes all fibers; nothing to do unless
-  // run() was never called.
+  // run() finishes all fibers and joins the shard workers; nothing to do
+  // unless run() was never called.
 }
 
 Engine::Shard& Engine::calling_shard() {
@@ -236,20 +218,12 @@ void Engine::record(Shard& shard, TraceKind kind, int participant) {
                                    kind, participant});
 }
 
-void Engine::fail_locked(std::unique_lock<std::mutex>& lock,
-                         const std::string& why) {
-  (void)lock;
+void Engine::fail_locked(const std::string& why) {
   if (failed()) {
     return;
   }
   failure_reason_ = options_.label + ": " + why;
   failed_.store(true, std::memory_order_release);
-  if (backend_ == ExecBackend::kThreads) {
-    for (auto& participant : participants_) {
-      participant->cv.notify_all();
-    }
-    done_cv_.notify_all();
-  }
 }
 
 std::shared_ptr<const obs::Postmortem> Engine::build_postmortem_locked(
@@ -290,44 +264,27 @@ std::shared_ptr<const obs::Postmortem> Engine::build_postmortem_locked(
     pm->per_image.push_back(std::move(img));
   }
   pm->classification = obs::classify(kind, false);
-  // Both callbacks run with the engine lock held; an exception escaping here
-  // would deadlock the very failure we are reporting (the thread backend's
-  // wake-up notifications would never run), so tag and swallow instead.
-  auto swallow = [&pm](const char* who, const auto& fn) {
-    try {
-      fn();
-    } catch (const std::exception& e) {
-      if (!pm->collector_error.empty()) {
-        pm->collector_error += "; ";
-      }
-      pm->collector_error += who;
-      pm->collector_error += ": ";
-      pm->collector_error += e.what();
-    } catch (...) {
-      if (!pm->collector_error.empty()) {
-        pm->collector_error += "; ";
-      }
-      pm->collector_error += who;
-      pm->collector_error += ": non-standard exception";
-    }
-  };
+  // An exception escaping the collector would abort the very failure we are
+  // reporting, so tag and swallow it instead.
   if (collector_) {
-    swallow("postmortem collector", [&] { collector_(*pm); });
-  }
-  if (diagnostics_) {
-    swallow("diagnostics callback", [&] { pm->extra = diagnostics_(); });
+    try {
+      collector_(*pm);
+    } catch (const std::exception& e) {
+      pm->collector_error = std::string("postmortem collector: ") + e.what();
+    } catch (...) {
+      pm->collector_error = "postmortem collector: non-standard exception";
+    }
   }
   return pm;
 }
 
-void Engine::fail_report_locked(std::unique_lock<std::mutex>& lock,
-                                obs::FailKind kind,
+void Engine::fail_report_locked(obs::FailKind kind,
                                 const std::string& headline) {
   if (failed()) {
     return;  // the first failure's postmortem wins
   }
   last_postmortem_ = build_postmortem_locked(kind, headline);
-  fail_locked(lock, obs::to_text(*last_postmortem_));
+  fail_locked(obs::to_text(*last_postmortem_));
 }
 
 void Engine::fail_pending(obs::FailKind kind, const std::string& headline,
@@ -403,23 +360,15 @@ void Engine::fail(const std::string& why, obs::FailKind kind) {
     fail_pending(kind, why, nullptr, false);
     return;
   }
-  auto lock = lock_gate(*shards_[0]);
-  fail_report_locked(lock, kind, why);
-}
-
-void Engine::set_diagnostics(std::function<std::string()> fn) {
-  auto lock = lock_gate(*shards_[0]);
-  diagnostics_ = std::move(fn);
+  fail_report_locked(kind, why);
 }
 
 void Engine::set_postmortem_collector(PostmortemCollector fn) {
-  auto lock = lock_gate(*shards_[0]);
   collector_ = std::move(fn);
 }
 
 obs::Postmortem Engine::snapshot_postmortem(const std::string& headline) {
   if (!sharded_ || quiesced_.load(std::memory_order_acquire)) {
-    auto lock = lock_gate(*shards_[0]);
     return *build_postmortem_locked(obs::FailKind::kOnDemand, headline);
   }
   // Mid-run snapshot of a sharded engine: other shards are executing, so
@@ -451,12 +400,8 @@ std::uint32_t Engine::acquire_slot(Shard& shard, InlineFn fn) {
   return slot;
 }
 
-std::string Engine::describe_callback_error(
-    Participant* dispatcher, const std::exception_ptr& error) const {
-  const std::string who =
-      dispatcher != nullptr ? "participant " + std::to_string(dispatcher->id)
-                            : std::string("the scheduler");
-  std::string what = "engine callback (dispatched from " + who + ")";
+std::string Engine::describe_callback_error(const std::exception_ptr& error) {
+  std::string what = "engine callback (dispatched from the scheduler)";
   try {
     std::rethrow_exception(error);
   } catch (const std::exception& e) {
@@ -468,29 +413,10 @@ std::string Engine::describe_callback_error(
   return what;
 }
 
-void Engine::shard_idle_locked(Shard& shard) {
-  shard.window_idle = true;
-  if (backend_ == ExecBackend::kThreads) {
-    shard.idle_cv.notify_one();
-  }
-}
-
-void Engine::dispatch_chain(Shard& shard, std::unique_lock<std::mutex>& lock,
-                            Participant* dispatcher) {
+Engine::Participant* Engine::dispatch_chain(Shard& shard) {
   for (;;) {
-    if (failed()) {
-      if (sharded_) {
-        shard_idle_locked(shard);
-      }
-      return;
-    }
-    if (shard.finished_count == shard.count) {
-      if (sharded_) {
-        shard_idle_locked(shard);
-      } else {
-        done_cv_.notify_all();
-      }
-      return;
+    if (failed() || shard.finished_count == shard.count) {
+      return nullptr;
     }
     if (sharded_) {
       // An exhausted shard is not a deadlock: other shards may still feed
@@ -499,27 +425,25 @@ void Engine::dispatch_chain(Shard& shard, std::unique_lock<std::mutex>& lock,
       if (shard.heap.empty() ||
           shard.heap.top().at >=
               shard.window_end.load(std::memory_order_relaxed)) {
-        shard_idle_locked(shard);
-        return;
+        return nullptr;
       }
       if (options_.max_events != 0 &&
           total_dispatched() >= options_.max_events) {
-        shard_idle_locked(shard);
-        return;
+        return nullptr;
       }
     } else {
       if (shard.heap.empty()) {
-        fail_report_locked(lock, obs::FailKind::kDeadlock,
+        fail_report_locked(obs::FailKind::kDeadlock,
                            "deadlock: no pending events and every "
                            "unfinished participant is blocked");
-        return;
+        return nullptr;
       }
       if (options_.max_events != 0 &&
           shard.dispatched.load(std::memory_order_relaxed) >=
               options_.max_events) {
-        fail_report_locked(lock, obs::FailKind::kEventBudget,
+        fail_report_locked(obs::FailKind::kEventBudget,
                            "simulation event budget exceeded");
-        return;
+        return nullptr;
       }
       if (options_.watchdog_quiet_us > 0.0 &&
           shard.heap.top().at >
@@ -530,8 +454,8 @@ void Engine::dispatch_chain(Shard& shard, std::unique_lock<std::mutex>& lock,
         os << "watchdog: every image is blocked and no event is due within "
            << options_.watchdog_quiet_us << " us (next event at t="
            << shard.heap.top().at << " us)";
-        fail_report_locked(lock, obs::FailKind::kQuietWatchdog, os.str());
-        return;
+        fail_report_locked(obs::FailKind::kQuietWatchdog, os.str());
+        return nullptr;
       }
     }
 
@@ -544,52 +468,38 @@ void Engine::dispatch_chain(Shard& shard, std::unique_lock<std::mutex>& lock,
 
     if (event.call_slot != kNoSlot) {
       record(shard, TraceKind::kCall, -1);
-      // Callbacks (network staging, deliveries, timers) run with the engine
-      // lock released. No participant of this shard holds the token here, so
+      // Callbacks (network staging, deliveries, timers) run on the shard's
+      // scheduler. No participant of this shard holds the token here, so
       // callbacks may freely mutate the shard's runtime state (mailboxes,
       // counters) without racing.
       InlineFn fn = std::move(shard.call_pool[event.call_slot]);
       shard.free_slots.push_back(event.call_slot);
       std::exception_ptr error;
-      if (lock.mutex() != nullptr) {
-        lock.unlock();
-      }
       try {
         fn();
       } catch (...) {
         error = std::current_exception();
       }
-      fn.reset();  // destroy the closure before retaking the lock
-      if (error && sharded_) {
-        // fail_pending must not run under a shard gate; we are unlocked here.
-        fail_pending(obs::FailKind::kCallbackError,
-                     describe_callback_error(dispatcher, error), nullptr,
+      fn.reset();
+      if (!error) {
+        continue;
+      }
+      // A throwing callback must not propagate through the scheduler loop
+      // (it would escape run() with fibers still live). Convert it into an
+      // engine failure.
+      const std::string what = describe_callback_error(error);
+      if (sharded_) {
+        fail_pending(obs::FailKind::kCallbackError, what, nullptr,
                      /*callback_error=*/true);
+      } else if (!first_error_) {
+        fail_report_locked(obs::FailKind::kCallbackError, what);
+        first_error_ = std::make_exception_ptr(
+            obs::StallError(options_.label + ": " + what, last_postmortem_));
+      } else {
+        fail_report_locked(obs::FailKind::kCallbackError,
+                           "engine callback raised an exception");
       }
-      if (lock.mutex() != nullptr) {
-        lock.lock();
-      }
-      if (error) {
-        if (sharded_) {
-          shard_idle_locked(shard);
-          return;
-        }
-        // A throwing callback must not propagate through whoever happens to
-        // be dispatching (from run()'s chain it would escape with
-        // participant threads still live). Convert it into an engine
-        // failure, tagged with the dispatching context.
-        if (!first_error_) {
-          const std::string what = describe_callback_error(dispatcher, error);
-          fail_report_locked(lock, obs::FailKind::kCallbackError, what);
-          first_error_ = std::make_exception_ptr(obs::StallError(
-              options_.label + ": " + what, last_postmortem_));
-        } else {
-          fail_report_locked(lock, obs::FailKind::kCallbackError,
-                             "engine callback raised an exception");
-        }
-        return;
-      }
-      continue;
+      return nullptr;
     }
 
     Participant& target = *participants_[event.wake_participant];
@@ -601,61 +511,31 @@ void Engine::dispatch_chain(Shard& shard, std::unique_lock<std::mutex>& lock,
     target.state = PState::kRunnable;
     if (target.id != shard.token_owner) {
       // Counted only when the token moves between participants, so the
-      // value is a pure function of the dispatch order: identical across
-      // backends and with the fast path on or off (a fast-pathed self-wake
-      // is exactly a dispatch that keeps the token in place).
+      // value is a pure function of the dispatch order: identical with the
+      // fast path on or off (a fast-pathed self-wake is exactly a dispatch
+      // that keeps the token in place).
       shard.token_owner = target.id;
       shard.context_switches.fetch_add(1, std::memory_order_relaxed);
     }
-    shard.activated = &target;
-    if (backend_ == ExecBackend::kThreads && &target != dispatcher) {
-      target.cv.notify_one();
-    }
-    return;
+    return &target;
   }
 }
 
-void Engine::switch_out(Shard& shard, std::unique_lock<std::mutex>& lock,
-                        Participant& self) {
+void Engine::switch_out(Participant& self) {
   self.active = false;
-  if (backend_ == ExecBackend::kFibers) {
-    // Hand control back to the shard's scheduler loop, which dispatches the
-    // next event. If the run already failed *and* the failure postmortem is
-    // ready, suspending would leave this fiber parked forever (the unwind
-    // pass resumes each live fiber exactly once) — throw immediately
-    // instead. A sharded run builds the postmortem at the window barrier, so
-    // until shutdown_ready_ the fiber still parks normally and the unwind
-    // pass (which runs only after the barrier completed the failure) picks
-    // it up.
-    if (!failed() || (sharded_ && !shutdown_ready_.load(
-                                      std::memory_order_acquire))) {
-      Fiber::suspend();
-    }
-    if (failed()) {
-      throw_failure();
-    }
-    self.state = PState::kRunnable;
-    self.block_reason.clear();
-    return;
+  // Hand control back to the shard's scheduler loop, which dispatches the
+  // next event. If the run already failed *and* the failure postmortem is
+  // ready, suspending would leave this fiber parked forever (the unwind pass
+  // resumes each live fiber exactly once) — throw immediately instead. A
+  // sharded run builds the postmortem at the window barrier, so until
+  // shutdown_ready_ the fiber still parks normally and the unwind pass
+  // (which runs only after the barrier completed the failure) picks it up.
+  if (!failed() ||
+      (sharded_ && !shutdown_ready_.load(std::memory_order_acquire))) {
+    Fiber::suspend();
   }
-  dispatch_chain(shard, lock, &self);
-  if (!sharded_) {
-    while (!self.active && !failed()) {
-      self.cv.wait(lock);
-    }
-    if (failed()) {
-      throw_failure();
-    }
-  } else {
-    // Parked until re-activated by a dispatch, or until the shutdown
-    // sequence (failure postmortem built at the barrier, coordinator
-    // notifies every participant).
-    while (!self.active) {
-      if (failed() && shutdown_ready_.load(std::memory_order_acquire)) {
-        throw_failure();
-      }
-      self.cv.wait(lock);
-    }
+  if (failed()) {
+    throw_failure();
   }
   self.state = PState::kRunnable;
   self.block_reason.clear();
@@ -670,8 +550,8 @@ void Engine::advance(double dt) {
   Shard& shard = home_shard(self.id);
 
   // Self-wake fast path: the caller holds the token, so every shard field
-  // below is owned by this context until the token is handed off through the
-  // gate (which publishes these plain writes). If the wake we are about to
+  // below is owned by this context until it suspends back to the shard's
+  // scheduler on the same OS thread. If the wake we are about to
   // schedule — (target, next_seq) — would be the very next event dispatched,
   // and the event budget permits dispatching it, skip the heap round-trip
   // and the switch_out() handoff entirely. Ties at `target` go to the heap
@@ -702,7 +582,6 @@ void Engine::advance(double dt) {
     return;
   }
 
-  auto lock = lock_gate(shard);
   record(shard, TraceKind::kAdvance, self.id);
   const double target = shard.now_us.load(std::memory_order_relaxed) + dt;
   if (observer_ != nullptr && dt > 0.0) {
@@ -715,7 +594,7 @@ void Engine::advance(double dt) {
   // must not finish early, so re-relinquish until the clock reaches the
   // target (the scheduled wake is still in the heap).
   do {
-    switch_out(shard, lock, self);
+    switch_out(self);
   } while (shard.now_us.load(std::memory_order_relaxed) < target);
 }
 
@@ -724,7 +603,6 @@ void Engine::block(const char* reason) {
                "block() must be called from a participant context");
   Participant& self = *participants_[tls_context.id];
   Shard& shard = home_shard(self.id);
-  auto lock = lock_gate(shard);
   CAF2_ASSERT(self.active, "block() caller does not hold the token");
   record(shard, TraceKind::kBlock, self.id);
   if (observer_ != nullptr) {
@@ -733,7 +611,7 @@ void Engine::block(const char* reason) {
   }
   self.state = PState::kWaiting;
   self.block_reason = reason;
-  switch_out(shard, lock, self);
+  switch_out(self);
   // switch_out throws on engine failure, harmlessly abandoning the pending
   // blocked span.
   if (observer_ != nullptr) {
@@ -761,7 +639,6 @@ void Engine::unblock(int participant) {
     }
   }
   Shard& shard = home_shard(participant);
-  auto lock = lock_gate(shard);
   Participant& target = *participants_[participant];
   if (target.state == PState::kFinished || target.active) {
     return;
@@ -771,15 +648,12 @@ void Engine::unblock(int participant) {
 }
 
 std::uint64_t Engine::reserve_seq() {
-  Shard& shard = calling_shard();
-  auto lock = lock_gate(shard);
-  return shard.next_seq++;
+  return calling_shard().next_seq++;
 }
 
 void Engine::post_reserved(double at, std::uint64_t seq, InlineFn fn) {
   CAF2_REQUIRE(static_cast<bool>(fn), "post_reserved() needs a callable");
   Shard& shard = calling_shard();
-  auto lock = lock_gate(shard);
   const double when =
       std::max(at, shard.now_us.load(std::memory_order_relaxed));
   const std::uint32_t slot = acquire_slot(shard, std::move(fn));
@@ -789,7 +663,6 @@ void Engine::post_reserved(double at, std::uint64_t seq, InlineFn fn) {
 void Engine::post_call(double at, InlineFn fn) {
   CAF2_REQUIRE(static_cast<bool>(fn), "post() needs a callable");
   Shard& shard = calling_shard();
-  auto lock = lock_gate(shard);
   const double when =
       std::max(at, shard.now_us.load(std::memory_order_relaxed));
   const std::uint32_t slot = acquire_slot(shard, std::move(fn));
@@ -828,8 +701,8 @@ void Engine::cross_post(int dest_shard, double at,
     // event as early as `at`, and anything it creates for us rides at least
     // one wire latency). The sender therefore caps its own window here —
     // dispatches so far are at or below the current clock, which is below
-    // the horizon, so the cap never retracts executed time. Same-context
-    // writer as the dispatch loop reading it; the gate publishes the store.
+    // the horizon, so the cap never retracts executed time. Same OS thread
+    // as the dispatch loop reading it.
     const double horizon = at + lookahead_;
     if (horizon < src.window_end.load(std::memory_order_relaxed)) {
       src.window_end.store(horizon, std::memory_order_relaxed);
@@ -1031,86 +904,6 @@ bool Engine::advance_window_locked() {
   return true;
 }
 
-void Engine::participant_main(int id, const std::function<void(int)>& body) {
-  tls_context = ExecContext{this, id, {}};
-  Participant& self = *participants_[id];
-  Shard& shard = home_shard(id);
-  if (sharded_) {
-    tls_shard = ShardTls{this, shard.index};
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    if (!sharded_) {
-      while (!self.active && !failed()) {
-        self.cv.wait(lock);
-      }
-      if (failed()) {
-        self.state = PState::kFinished;
-        ++shard.finished_count;
-        done_cv_.notify_all();
-        tls_context = {};
-        return;
-      }
-    } else {
-      while (!self.active) {
-        if (failed() && shutdown_ready_.load(std::memory_order_acquire)) {
-          // Never received the token; exit without running the body.
-          self.state = PState::kFinished;
-          ++shard.finished_count;
-          tls_context = {};
-          tls_shard = {};
-          return;
-        }
-        self.cv.wait(lock);
-      }
-    }
-    self.state = PState::kRunnable;
-  }
-
-  std::exception_ptr error;
-  try {
-    body(id);
-  } catch (...) {
-    error = std::current_exception();
-  }
-
-  if (error && sharded_) {
-    // Must run before taking the shard gate (fail_pending's contract).
-    fail_pending(obs::FailKind::kImageError,
-                 "participant raised an exception", error, false);
-  }
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  self.state = PState::kFinished;
-  self.active = false;
-  ++shard.finished_count;
-  record(shard, TraceKind::kFinish, id);
-  if (error && !sharded_) {
-    if (!first_error_) {
-      first_error_ = error;
-    }
-    fail_report_locked(lock, obs::FailKind::kImageError,
-                       "participant raised an exception");
-  }
-  if (!sharded_) {
-    if (shard.finished_count == shard.count || failed()) {
-      done_cv_.notify_all();
-    } else {
-      dispatch_chain(shard, lock, nullptr);
-    }
-  } else {
-    if (shard.finished_count == shard.count || failed()) {
-      shard_idle_locked(shard);
-    } else {
-      dispatch_chain(shard, lock, nullptr);
-    }
-  }
-  tls_context = {};
-  if (sharded_) {
-    tls_shard = {};
-  }
-}
-
 void Engine::fiber_main(int id, const std::function<void(int)>& body) {
   Participant& self = *participants_[id];
   self.state = PState::kRunnable;
@@ -1122,14 +915,13 @@ void Engine::fiber_main(int id, const std::function<void(int)>& body) {
     error = std::current_exception();
   }
 
-  // Mirrors participant_main's epilogue; the shard's scheduler loop takes
-  // over dispatching as soon as this entry function returns.
+  // The shard's scheduler loop takes over dispatching as soon as this entry
+  // function returns.
   Shard& shard = home_shard(id);
   if (error && sharded_) {
     fail_pending(obs::FailKind::kImageError,
                  "participant raised an exception", error, false);
   }
-  auto lock = lock_gate(shard);
   self.state = PState::kFinished;
   self.active = false;
   ++shard.finished_count;
@@ -1138,7 +930,7 @@ void Engine::fiber_main(int id, const std::function<void(int)>& body) {
     if (!first_error_) {
       first_error_ = error;
     }
-    fail_report_locked(lock, obs::FailKind::kImageError,
+    fail_report_locked(obs::FailKind::kImageError,
                        "participant raised an exception");
   }
 }
@@ -1158,8 +950,8 @@ void Engine::unwind_live_fibers(Shard& shard) {
       continue;
     }
     if (!participant.fiber->started()) {
-      // Never received the token: the thread backend's participant_main
-      // exits without running the body (and without a kFinish record).
+      // Never received the token: retire it without running the body (and
+      // without a kFinish record).
       participant.state = PState::kFinished;
       participant.active = false;
       ++shard.finished_count;
@@ -1175,68 +967,8 @@ void Engine::unwind_live_fibers(Shard& shard) {
   }
 }
 
-void Engine::run_fibers(const std::function<void(int)>& body) {
-  Shard& shard = *shards_[0];
-  for (auto& participant : participants_) {
-    participant->context = ExecContext{this, participant->id, {}};
-    participant->fiber = std::make_unique<Fiber>(
-        options_.fiber_stack_bytes,
-        [this, id = participant->id, &body] { fiber_main(id, body); });
-  }
-
-  // The scheduler loop: dispatch until a participant is activated, switch
-  // onto its fiber, repeat when it suspends or finishes. Single-threaded by
-  // construction, so `gate` is an empty lock (see lock_gate()).
-  std::unique_lock<std::mutex> gate;
-  while (shard.finished_count < size() && !failed()) {
-    dispatch_chain(shard, gate, nullptr);
-    Participant* target = shard.activated;
-    shard.activated = nullptr;
-    if (target == nullptr) {
-      break;  // failed, or everyone finished during the chain
-    }
-    resume_fiber(*target);
-  }
-  if (failed()) {
-    unwind_live_fibers(shard);
-  }
-  for (auto& participant : participants_) {
-    participant->fiber.reset();
-  }
-}
-
-void Engine::run_threads(const std::function<void(int)>& body) {
-  Shard& shard = *shards_[0];
-  for (auto& participant : participants_) {
-    participant->thread =
-        std::thread([this, id = participant->id, &body] {
-          participant_main(id, body);
-        });
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    dispatch_chain(shard, lock, nullptr);  // hand the token to participant 0
-    done_cv_.wait(lock, [this, &shard] {
-      return shard.finished_count == size() || failed();
-    });
-    if (failed()) {
-      // Every live participant will observe failed_ at its next engine call
-      // (or is already being notified) and unwind.
-      done_cv_.wait(lock,
-                    [this, &shard] { return shard.finished_count == size(); });
-    }
-  }
-
-  for (auto& participant : participants_) {
-    if (participant->thread.joinable()) {
-      participant->thread.join();
-    }
-  }
-}
-
-void Engine::shard_worker_fibers(Shard& shard,
-                                 const std::function<void(int)>& body) {
+void Engine::run_shard(Shard& shard, const std::function<void(int)>& body) {
+  const ShardTls saved = tls_shard;
   tls_shard = ShardTls{this, shard.index};
   for (int p = shard.first; p < shard.first + shard.count; ++p) {
     Participant& participant = *participants_[p];
@@ -1245,20 +977,19 @@ void Engine::shard_worker_fibers(Shard& shard,
         options_.fiber_stack_bytes, [this, p, &body] { fiber_main(p, body); });
   }
 
-  // Per-window scheduler loop: dispatch this shard's events up to the window
-  // end, then rendezvous with the other shards to open the next window.
-  std::unique_lock<std::mutex> gate;
+  // The scheduler loop: dispatch until a participant is activated, switch
+  // onto its fiber, repeat when it suspends or finishes. A sharded run stops
+  // at the window end and rendezvouses with the other shards to open the
+  // next window.
   for (;;) {
     while (shard.finished_count < shard.count && !failed()) {
-      dispatch_chain(shard, gate, nullptr);
-      Participant* target = shard.activated;
-      shard.activated = nullptr;
+      Participant* target = dispatch_chain(shard);
       if (target == nullptr) {
         break;  // window exhausted, shard drained, or run failed
       }
       resume_fiber(*target);
     }
-    if (!window_rendezvous()) {
+    if (!sharded_ || !window_rendezvous()) {
       break;
     }
   }
@@ -1268,55 +999,13 @@ void Engine::shard_worker_fibers(Shard& shard,
   for (int p = shard.first; p < shard.first + shard.count; ++p) {
     participants_[p]->fiber.reset();
   }
-  tls_shard = {};
+  tls_shard = saved;
 }
 
-void Engine::shard_worker_threads(Shard& shard,
-                                  const std::function<void(int)>& body) {
-  tls_shard = ShardTls{this, shard.index};
-  for (int p = shard.first; p < shard.first + shard.count; ++p) {
-    participants_[p]->thread =
-        std::thread([this, p, &body] { participant_main(p, body); });
-  }
+void Engine::run(const std::function<void(int)>& body) {
+  CAF2_REQUIRE(!running_, "Engine::run() may only be called once");
+  running_ = true;
 
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  for (;;) {
-    shard.window_idle = false;
-    dispatch_chain(shard, lock, nullptr);
-    // The shard is quiescent exactly when window_idle is set (the last
-    // token holder found nothing more to dispatch this window) or everyone
-    // finished — only then is it safe to expose the shard's state to the
-    // barrier completer.
-    shard.idle_cv.wait(lock, [&shard] {
-      return shard.window_idle || shard.finished_count == shard.count;
-    });
-    lock.unlock();
-    const bool cont = window_rendezvous();
-    lock.lock();
-    if (!cont) {
-      break;
-    }
-  }
-  // Shutdown: release every parked participant (they observe the finished /
-  // failed state and exit or unwind).
-  for (int p = shard.first; p < shard.first + shard.count; ++p) {
-    participants_[p]->cv.notify_all();
-  }
-  lock.unlock();
-
-  for (int p = shard.first; p < shard.first + shard.count; ++p) {
-    if (participants_[p]->thread.joinable()) {
-      participants_[p]->thread.join();
-    }
-  }
-  tls_shard = {};
-}
-
-void Engine::run_sharded(const std::function<void(int)>& body) {
-  // The initial window is the static one in both lookahead modes: every
-  // shard's heap holds its participants' t=0 wakes, so the adaptive
-  // derivation would yield exactly `0 + lookahead` anyway.
-  windows_ = 1;
   for (auto& shard : shards_) {
     shard->window_end.store(lookahead_, std::memory_order_relaxed);
     for (int p = shard->first; p < shard->first + shard->count; ++p) {
@@ -1324,44 +1013,24 @@ void Engine::run_sharded(const std::function<void(int)>& body) {
     }
   }
 
-  std::vector<std::thread> workers;
-  workers.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    Shard* raw = shard.get();
-    workers.emplace_back([this, raw, &body] {
-      if (backend_ == ExecBackend::kFibers) {
-        shard_worker_fibers(*raw, body);
-      } else {
-        shard_worker_threads(*raw, body);
-      }
-    });
-  }
-  for (auto& worker : workers) {
-    worker.join();
-  }
-}
-
-void Engine::run(const std::function<void(int)>& body) {
-  CAF2_REQUIRE(!running_, "Engine::run() may only be called once");
-  running_ = true;
-
-  if (sharded_) {
-    quiesced_.store(false, std::memory_order_release);
-    run_sharded(body);
-    quiesced_.store(true, std::memory_order_release);
+  if (!sharded_) {
+    run_shard(*shards_[0], body);
   } else {
-    {
-      auto lock = lock_gate(*shards_[0]);
-      Shard& shard = *shards_[0];
-      for (auto& participant : participants_) {
-        shard.heap.push(Event{0.0, shard.next_seq++, participant->id, kNoSlot});
-      }
+    // The initial window is the static one in both lookahead modes: every
+    // shard's heap holds its participants' t=0 wakes, so the adaptive
+    // derivation would yield exactly `0 + lookahead` anyway.
+    windows_ = 1;
+    quiesced_.store(false, std::memory_order_release);
+    std::vector<std::thread> workers;
+    workers.reserve(shards_.size());
+    for (auto& shard : shards_) {
+      Shard* raw = shard.get();
+      workers.emplace_back([this, raw, &body] { run_shard(*raw, body); });
     }
-    if (backend_ == ExecBackend::kFibers) {
-      run_fibers(body);
-    } else {
-      run_threads(body);
+    for (auto& worker : workers) {
+      worker.join();
     }
+    quiesced_.store(true, std::memory_order_release);
   }
 
   if (options_.record_trace) {

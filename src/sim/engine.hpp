@@ -11,24 +11,18 @@
 /// in *virtual time* (ties broken by insertion sequence, so runs are fully
 /// deterministic).
 ///
-/// Two execution backends implement that contract (DESIGN.md §4.8):
-///  - ExecBackend::kThreads — one OS thread per participant; the token
-///    handoff is a mutex + per-participant condition variable. This is the
-///    backend ThreadSanitizer can instrument.
-///  - ExecBackend::kFibers — one stackful fiber per participant, all
-///    multiplexed on the thread that called run(); the token handoff is a
-///    userspace register swap and the engine runs lock-free. This is what
-///    makes 1024-image (paper-scale) runs practical.
-/// Both backends execute participants in exactly the same order, so traces,
-/// event counts, and context-switch counts are bit-identical across them.
-/// EngineOptions::backend picks one; CAF2_SIM_BACKEND={threads,fibers}
-/// overrides it from the environment.
+/// Every participant is a stackful fiber (DESIGN.md §4.8), multiplexed on
+/// the OS thread that runs its shard's scheduler loop: the thread that
+/// called run(), or one worker thread per shard. The token handoff is a
+/// userspace register swap, and because a shard's participants, callbacks
+/// and scheduler all run on one OS thread, the engine needs no lock on its
+/// per-shard state. This is what makes paper-scale runs practical.
 ///
 /// Three event kinds live in the heap:
 ///  - Wake(p, t): hand the token to participant p at time t (created by
 ///    advance(), yield(), and unblock());
 ///  - Call(f, t): run an engine callback at time t (network staging,
-///    delivery, timers). Callbacks run on whichever thread is dispatching
+///    delivery, timers). Callbacks run on the shard's scheduler loop
 ///    and must not touch participant-local state or block;
 ///  - participants that block without a scheduled wake are resumed only by a
 ///    subsequent unblock() from a callback or another participant.
@@ -47,8 +41,8 @@
 /// With EngineOptions::shards > 1 (or CAF2_SIM_SHARDS=N) the engine runs a
 /// conservative parallel discrete-event simulation: participants are
 /// partitioned into contiguous shards, each shard owns its own event heap,
-/// call pool, sequence counter, clock, and lock, and one worker thread per
-/// shard executes that shard's events. Virtual time advances in windows: a
+/// call pool, sequence counter, and clock, and one worker thread per shard
+/// executes that shard's events. Virtual time advances in windows: a
 /// shard may dispatch any event strictly below `window_end = global_min +
 /// lookahead`, where `global_min` is the minimum pending event time across
 /// shards and the lookahead is the network's minimum link latency
@@ -60,7 +54,7 @@
 /// `(time, source shard, per-source counter)`, then re-sequenced into the
 /// destination heap. `shards=1` runs the exact single-shard code path and is
 /// bit-identical to the pre-sharding engine; any fixed shard count is
-/// deterministic across repeats and across backends. Sharding requires a
+/// deterministic across repeats. Sharding requires a
 /// positive lookahead; configurations without one (zero-latency networks)
 /// automatically fall back to one shard. The reliable-delivery protocol and
 /// obs span capture both run sharded (DESIGN.md §4.12).
@@ -112,13 +106,11 @@
 #include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/fiber.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/trace.hpp"
-#include "support/config.hpp"
 #include "support/error.hpp"
 
 namespace caf2::obs {
@@ -131,21 +123,13 @@ namespace caf2::sim {
 
 class Engine;
 
-/// The execution backend a given configuration actually runs: applies the
-/// CAF2_SIM_BACKEND environment override, resolves kAuto, and falls back to
-/// threads where fibers are unsupported (ThreadSanitizer builds). This is
-/// exactly the resolution the Engine constructor performs; exposed so tools
-/// (bench metadata stamps) can report the backend without building an engine.
-/// A value other than "threads" or "fibers" throws caf2::UsageError naming
-/// the variable; an empty value counts as unset (likewise below).
-ExecBackend resolve_backend(ExecBackend configured);
-
 /// The shard count a given configuration requests before the Engine clamps
 /// it against the participant count and the lookahead: an explicit
 /// `configured >= 1` wins; `configured <= 0` reads CAF2_SIM_SHARDS and
 /// defaults to 1. CAF2_SIM_SHARDS must be a whole positive decimal integer
-/// ("4x", "abc", "0" and "-2" throw caf2::UsageError). Exposed for bench
-/// metadata stamps.
+/// ("4x", "abc", "0" and "-2" throw caf2::UsageError naming the variable; an
+/// empty value counts as unset, likewise below). Exposed for bench metadata
+/// stamps.
 int resolve_shards(int configured);
 
 /// Whether a sharded engine uses adaptive lookahead windows: the environment
@@ -156,16 +140,15 @@ int resolve_shards(int configured);
 bool resolve_adaptive_lookahead(bool configured);
 
 /// Everything that makes the calling context "participant N of engine E".
-/// With the thread backend each participant thread simply owns one of these
-/// in thread-local storage; with the fiber backend the scheduler swaps the
-/// thread-local instance on every fiber switch, so code above the engine
-/// (e.g. the runtime's current-image pointer, stored in a slot) never needs
-/// to know which backend is running it.
+/// The scheduler swaps the thread-local instance on every fiber switch, so
+/// code above the engine (e.g. the runtime's current-image pointer, stored
+/// in a slot) sees per-participant state although participants share OS
+/// threads.
 struct ExecContext {
   Engine* engine = nullptr;
   int id = -1;
-  /// Backend-agnostic replacement for participant-local `thread_local`
-  /// variables in higher layers. Slot 0: rt::Image*, slot 1: rt::Runtime*.
+  /// Replacement for participant-local `thread_local` variables in higher
+  /// layers. Slot 0: rt::Image*, slot 1: rt::Runtime*.
   std::array<void*, 2> slots{};
 };
 
@@ -182,7 +165,8 @@ struct EngineOptions {
   std::uint64_t max_trace_entries = std::uint64_t{1} << 22;
 
   /// Enable the self-wake fast path (see file comment). The environment
-  /// variable CAF2_SIM_NO_FASTPATH=1 overrides this to false; results are
+  /// variable CAF2_SIM_NO_FASTPATH="1"/"on" forces it off, "0"/"off" keeps
+  /// this setting, and any other value throws caf2::UsageError. Results are
   /// bit-identical either way, so the switch exists only for regression
   /// testing and micro-benchmark comparisons.
   bool enable_fastpath = true;
@@ -194,12 +178,6 @@ struct EngineOptions {
   /// Participants that are merely advancing their clocks (modeled compute)
   /// hold a scheduled wake and never trip the watchdog.
   double watchdog_quiet_us = 0.0;
-
-  /// Execution backend (see the file comment). kAuto resolves to fibers
-  /// wherever fibers_supported(), else threads; an explicit kFibers also
-  /// falls back to threads when unsupported (ThreadSanitizer builds). The
-  /// environment variable CAF2_SIM_BACKEND={threads,fibers} overrides this.
-  ExecBackend backend = ExecBackend::kAuto;
 
   /// Usable stack bytes per participant fiber (rounded up to whole pages; a
   /// PROT_NONE guard page is added below). Virtual memory only — resident
@@ -242,7 +220,7 @@ class Engine {
   /// Number of participants.
   int size() const { return static_cast<int>(participants_.size()); }
 
-  /// --- calls valid only on a participant thread ---------------------------
+  /// --- calls valid only on a participant ----------------------------------
 
   /// Engine owning the calling participant context (nullptr elsewhere).
   static Engine* current_engine();
@@ -271,7 +249,7 @@ class Engine {
   /// calls unblock() on it. \p reason appears in deadlock diagnostics.
   void block(const char* reason = "blocked");
 
-  /// --- calls valid on a participant thread or inside a Call callback ------
+  /// --- calls valid on a participant or inside a Call callback -------------
 
   /// Make a blocked participant runnable at the current virtual time.
   /// Harmless if the participant is already runnable or finished. When the
@@ -322,7 +300,7 @@ class Engine {
   /// Abort the run with a diagnosable failure: a structured obs::Postmortem
   /// is collected and every blocked participant is woken with an
   /// obs::StallError carrying the postmortem's text rendering. Callable from
-  /// a participant thread or an engine callback; the reliability layer uses
+  /// a participant or an engine callback; the reliability layer uses
   /// the two-argument form when a message exhausts its retransmission
   /// budget. The one-argument form tags the postmortem
   /// obs::FailKind::kExplicitFail. In a sharded run the failure is recorded
@@ -333,18 +311,13 @@ class Engine {
 
   /// Install a callback that fills the runtime-owned sections of a
   /// Postmortem (wait-for graph, per-image counters, network state, blame).
-  /// Invoked with the engine lock held: it must not call back into the
-  /// engine except now(), backend(), and event_count(), and must only *read*
-  /// simulation state — safe, because a stalling engine has no other context
-  /// running. Exceptions it throws are swallowed into
-  /// Postmortem::collector_error (never allowed to deadlock a failing run).
+  /// Invoked on a quiesced engine: it must not call back into the engine
+  /// except now() and event_count(), and must only *read* simulation state —
+  /// safe, because a stalling engine has no other context running.
+  /// Exceptions it throws are swallowed into Postmortem::collector_error
+  /// (never allowed to abort a failing run).
   using PostmortemCollector = std::function<void(obs::Postmortem&)>;
   void set_postmortem_collector(PostmortemCollector fn);
-
-  /// Install a callback that contributes extra free-form sections to
-  /// postmortems (legacy hook; prefer set_postmortem_collector). Same
-  /// lock-held contract; exceptions are likewise swallowed.
-  void set_diagnostics(std::function<std::string()> fn);
 
   /// Collect a Postmortem of the current (healthy or stalled) state, tagged
   /// obs::FailKind::kOnDemand. Callable from a participant context or from
@@ -368,14 +341,10 @@ class Engine {
   /// True when the self-wake fast path is active (options + environment).
   bool fastpath_enabled() const { return fastpath_; }
 
-  /// The resolved execution backend (options + environment + build support);
-  /// never kAuto.
-  ExecBackend backend() const { return backend_; }
-
   /// Token handoffs between *different* participants dispatched so far,
   /// summed over shards. Within a shard this is a pure function of the
-  /// dispatch order, so bit-identical across backends and with the fast path
-  /// on or off — the determinism suite compares it.
+  /// dispatch order, so bit-identical with the fast path on or off — the
+  /// determinism suite compares it.
   std::uint64_t context_switch_count() const;
 
   /// Recorded trace (empty unless EngineOptions::record_trace). Populated
@@ -440,10 +409,6 @@ class Engine {
     PState state = PState::kIdle;
     bool active = false;  ///< holds (or is about to receive) the token
     std::string block_reason;
-    // Thread backend only:
-    std::condition_variable cv;
-    std::thread thread;
-    // Fiber backend only:
     std::unique_ptr<Fiber> fiber;
     ExecContext context;  ///< saved while the fiber is suspended
   };
@@ -490,16 +455,14 @@ class Engine {
     int first = 0;  ///< first participant id; shard spans [first, first+count)
     int count = 0;
 
-    mutable std::mutex mutex;  ///< the shard's engine gate (thread backend)
-    std::condition_variable idle_cv;  ///< coordinator waits for quiescence
     std::priority_queue<Event, std::vector<Event>, EventOrder> heap;
     std::vector<InlineFn> call_pool;         ///< Call closures, slot-addressed
     std::vector<std::uint32_t> free_slots;   ///< recycled call_pool indices
 
     // now_us and dispatched are atomics so now()/event_count() stay callable
-    // without the shard lock; all *writes* happen on the single context that
-    // currently owns the shard's scheduler, so relaxed ordering suffices —
-    // cross-thread publication rides the mutex / window-barrier handoff.
+    // from other threads; all *writes* happen on the shard's scheduler
+    // thread, so relaxed ordering suffices — cross-thread publication rides
+    // the window-barrier handoff.
     std::atomic<double> now_us{0.0};
     std::atomic<std::uint64_t> dispatched{0};
     std::atomic<std::uint64_t> context_switches{0};
@@ -510,9 +473,7 @@ class Engine {
     std::atomic<double> window_end{0.0};
     std::uint64_t next_seq = 0;
     int token_owner = -1;  ///< participant last handed the token
-    Participant* activated = nullptr;  ///< dispatch_chain -> fiber scheduler
     int finished_count = 0;
-    bool window_idle = false;  ///< no dispatchable event this window
 
     std::vector<TraceEntry> trace;
     std::uint64_t trace_dropped = 0;
@@ -523,8 +484,6 @@ class Engine {
     std::uint64_t cross_order = 0;  ///< next CrossEvent stamp (source side)
   };
 
-  friend struct CurrentParticipantGuard;
-
   Shard& home_shard(int participant) {
     return *shards_[static_cast<std::size_t>(shard_of(participant))];
   }
@@ -533,27 +492,14 @@ class Engine {
   /// context (which only happens unsharded, or before the run starts).
   Shard& calling_shard();
 
-  /// Acquire a shard's engine gate — in thread mode. The fiber backend runs
-  /// every participant, callback, and the scheduler of a shard on one OS
-  /// thread, so it skips the mutex entirely: lock_gate() then returns an
-  /// empty unique_lock (no associated mutex), and the lock/unlock sites test
-  /// lock.mutex() first.
-  std::unique_lock<std::mutex> lock_gate(Shard& shard) {
-    return backend_ == ExecBackend::kThreads
-               ? std::unique_lock<std::mutex>(shard.mutex)
-               : std::unique_lock<std::mutex>();
-  }
-
   bool failed() const { return failed_.load(std::memory_order_acquire); }
 
-  void run_threads(const std::function<void(int)>& body);
-  void run_fibers(const std::function<void(int)>& body);
-
-  /// Multi-shard run: one worker thread per shard plus the window-barrier
-  /// protocol.
-  void run_sharded(const std::function<void(int)>& body);
-  void shard_worker_fibers(Shard& shard, const std::function<void(int)>& body);
-  void shard_worker_threads(Shard& shard, const std::function<void(int)>& body);
+  /// One shard's scheduler loop: create its participants' fibers, dispatch
+  /// and resume them until every one finished or the run failed (window by
+  /// window through the barrier protocol when sharded), then unwind and
+  /// release them. Runs on the thread that called run() when unsharded, else
+  /// on the shard's worker thread.
+  void run_shard(Shard& shard, const std::function<void(int)>& body);
 
   /// Arrive at the window barrier; the last arriver merges inboxes and opens
   /// the next window (or completes the run). Returns false when the run is
@@ -578,48 +524,33 @@ class Engine {
 
   /// Record a failure without collecting the postmortem (sharded mode: the
   /// collection happens at the window barrier where every shard is
-  /// quiesced). First failure wins. Must not be called while holding a shard
-  /// gate.
+  /// quiesced). First failure wins.
   void fail_pending(obs::FailKind kind, const std::string& headline,
                     std::exception_ptr participant_error, bool callback_error);
 
-  void participant_main(int id, const std::function<void(int)>& body);
-
-  /// Fiber-backend participant body (entry function of the fiber).
+  /// Participant body (entry function of the fiber).
   void fiber_main(int id, const std::function<void(int)>& body);
 
   /// Switch onto a participant's fiber, installing its ExecContext for the
   /// duration and saving it back (with any slot changes) on return.
   void resume_fiber(Participant& target);
 
-  /// After a failure in fiber mode: resume every live fiber of \p shard once
+  /// After a failure: resume every live fiber of \p shard once
   /// so its pending engine call observes failed_ and throws, unwinding the
   /// body. Runs in rank order (deterministic); never-started fibers are
-  /// retired directly, matching the thread backend's early-exit path.
+  /// retired without running the body.
   void unwind_live_fibers(Shard& shard);
 
-  /// Relinquish the token. Must be called with the gate held by a
-  /// participant that currently has it. Thread mode: dispatches events until
-  /// another participant is activated (possibly the caller), then waits
-  /// until re-activated. Fiber mode: suspends back to the scheduler loop,
-  /// which dispatches. Throws FatalError if the run failed meanwhile.
-  void switch_out(Shard& shard, std::unique_lock<std::mutex>& lock,
-                  Participant& self);
+  /// Relinquish the token: suspend back to the shard's scheduler loop,
+  /// which dispatches. Must be called by the participant that currently has
+  /// the token. Throws FatalError if the run failed meanwhile.
+  void switch_out(Participant& self);
 
   /// Pop and dispatch \p shard's events until a participant is activated,
-  /// the shard drains, or (sharded) the window is exhausted. Returns with
-  /// the gate held; the activated participant (if any) is left in
-  /// shard.activated. \p dispatcher is the participant running this chain
-  /// (nullptr when dispatching from run() or a finishing participant);
-  /// activating the dispatcher itself skips the condition-variable notify,
-  /// since the dispatcher observes `active` directly. A callback that throws
-  /// fails the run with a dispatcher-tagged error instead of propagating.
-  void dispatch_chain(Shard& shard, std::unique_lock<std::mutex>& lock,
-                      Participant* dispatcher);
-
-  /// Mark the shard quiescent for this window and wake its coordinator.
-  /// Requires the shard gate (thread mode).
-  void shard_idle_locked(Shard& shard);
+  /// the shard drains, or (sharded) the window is exhausted. Returns the
+  /// activated participant, or nullptr. A callback that throws fails the
+  /// run instead of propagating.
+  Participant* dispatch_chain(Shard& shard);
 
   void post_call(double at, InlineFn fn);
   void post_for_call(int participant, double at, InlineFn fn);
@@ -635,26 +566,23 @@ class Engine {
 
   /// Compose the failure text for a throwing engine callback (shared by the
   /// sharded and unsharded paths so the message stays identical).
-  std::string describe_callback_error(Participant* dispatcher,
-                                      const std::exception_ptr& error) const;
+  static std::string describe_callback_error(const std::exception_ptr& error);
 
-  void fail_locked(std::unique_lock<std::mutex>& lock, const std::string& why);
+  void fail_locked(const std::string& why);
 
   /// Collect the structured postmortem: engine-owned fields (participant
-  /// states, event counts) plus whatever the postmortem collector and the
-  /// legacy diagnostics callback contribute. Exceptions from either callback
-  /// are swallowed into Postmortem::collector_error — a report must never
-  /// deadlock the failing run it is reporting on. Requires the engine to be
-  /// quiesced (single-shard gate held, or every shard parked at the window
-  /// barrier).
+  /// states, event counts) plus whatever the postmortem collector
+  /// contributes. Exceptions from the collector are swallowed into
+  /// Postmortem::collector_error — a report must never abort the failing run
+  /// it is reporting on. Requires the engine to be quiesced (unsharded, or
+  /// every shard parked at the window barrier).
   std::shared_ptr<const obs::Postmortem> build_postmortem_locked(
       obs::FailKind kind, const std::string& headline);
 
   /// Fail the run with a freshly collected postmortem (no-op when already
   /// failed — the first postmortem wins). failure_reason_ becomes the
-  /// postmortem's text rendering. Single-shard only; requires the gate held.
-  void fail_report_locked(std::unique_lock<std::mutex>& lock,
-                          obs::FailKind kind, const std::string& headline);
+  /// postmortem's text rendering. Single-shard only.
+  void fail_report_locked(obs::FailKind kind, const std::string& headline);
 
   /// Throw the failure as an obs::StallError carrying last_postmortem_.
   [[noreturn]] void throw_failure() const;
@@ -666,7 +594,6 @@ class Engine {
 
   void record(Shard& shard, TraceKind kind, int participant);
 
-  std::condition_variable done_cv_;  ///< single-shard thread backend
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::int32_t> shard_index_;  ///< participant id -> shard
   std::vector<std::unique_ptr<Participant>> participants_;
@@ -675,8 +602,6 @@ class Engine {
   bool sharded_ = false;
   bool adaptive_ = false;  ///< resolved adaptive-lookahead mode (sharded only)
   double lookahead_ = 0.0;
-  ExecBackend backend_ = ExecBackend::kThreads;  ///< resolved, never kAuto
-  std::function<std::string()> diagnostics_;
   PostmortemCollector collector_;
   std::shared_ptr<const obs::Postmortem> last_postmortem_;
 

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file fiber.hpp
-/// Stackful fibers for the simulation engine's fiber execution backend
-/// (DESIGN.md §4.8).
+/// Stackful fibers: the simulation engine's execution contexts (DESIGN.md
+/// §4.8).
 ///
 /// A Fiber is a user-level execution context with its own stack, multiplexed
 /// cooperatively on whichever OS thread resumes it. The engine gives every
@@ -21,12 +21,12 @@
 ///    silently corrupting a neighbouring allocation, and they are recycled
 ///    through a process-wide pool because benchmark sweeps construct
 ///    thousands of engines back to back;
-///  - AddressSanitizer is kept informed of every stack switch via the
-///    __sanitizer_*_switch_fiber API, so ASan builds run fibers natively.
-///    ThreadSanitizer is not: TSan models synchronization between OS
-///    threads, and a single-threaded fiber scheduler would hide exactly the
-///    races it exists to find — fibers_supported() is false under TSan and
-///    the engine falls back to the thread backend (DESIGN.md §4.8).
+///  - the sanitizers are told about every stack switch: AddressSanitizer via
+///    the __sanitizer_*_switch_fiber API, ThreadSanitizer via
+///    __tsan_create_fiber / __tsan_switch_to_fiber. Each fiber gets its own
+///    TSan context and every switch synchronizes, so TSan builds run the same
+///    fibers as every other build and race-check what crosses OS threads
+///    (the engine's shard workers).
 ///
 /// Discipline: resume() may only be called from outside the fiber (the
 /// scheduler), suspend() only from inside it, and both always on the same
@@ -39,10 +39,6 @@
 #include <functional>
 
 namespace caf2::sim {
-
-/// True when the stackful-fiber backend can be used in this build (false
-/// under ThreadSanitizer).
-bool fibers_supported();
 
 class Fiber {
  public:
@@ -109,6 +105,11 @@ class Fiber {
   void* asan_fiber_fake_stack_ = nullptr;
   const void* asan_resumer_stack_bottom_ = nullptr;
   std::size_t asan_resumer_stack_size_ = 0;
+
+  // ThreadSanitizer bookkeeping: this fiber's TSan context and the context
+  // of whoever last resumed it.
+  void* tsan_fiber_ = nullptr;
+  void* tsan_resumer_ = nullptr;
 };
 
 }  // namespace caf2::sim

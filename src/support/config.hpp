@@ -15,25 +15,6 @@
 
 namespace caf2 {
 
-/// --- execution backend -------------------------------------------------------
-
-/// How simulated participants execute (sim/engine.hpp, DESIGN.md §4.8).
-///
-/// kThreads runs one OS thread per image with a mutex+condvar token handoff;
-/// kFibers multiplexes every image as a stackful fiber on the scheduler
-/// thread, so a handoff is a userspace register swap. Results are
-/// bit-identical either way; kAuto picks fibers wherever they are supported
-/// (everywhere except ThreadSanitizer builds, which need real threads to
-/// instrument). The environment variable CAF2_SIM_BACKEND={threads,fibers}
-/// overrides whatever is configured here.
-enum class ExecBackend : std::uint8_t {
-  kAuto,
-  kThreads,
-  kFibers,
-};
-
-const char* to_string(ExecBackend backend);
-
 /// --- fault injection ---------------------------------------------------------
 ///
 /// The fault model perturbs the interconnect deterministically: every fault
@@ -265,11 +246,6 @@ struct RuntimeOptions {
   /// are bit-identical with it on or off; the switch exists for regression
   /// tests and perf comparisons. CAF2_SIM_NO_FASTPATH=1 also disables it.
   bool sim_fastpath = true;
-
-  /// Execution backend for simulated images (see ExecBackend). kAuto picks
-  /// stackful fibers where supported; results are bit-identical across
-  /// backends. CAF2_SIM_BACKEND={threads,fibers} overrides this.
-  ExecBackend sim_backend = ExecBackend::kAuto;
 
   /// Number of engine shards: worker threads executing the conservative
   /// parallel-DES scheme of DESIGN.md §4.11. <= 0 means "resolve from the

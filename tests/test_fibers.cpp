@@ -1,5 +1,5 @@
 /// Tests for the stackful-fiber primitive and the engine's fiber execution
-/// backend (DESIGN.md §4.8): backend resolution (options + environment),
+/// (DESIGN.md §4.8): fibers switched concurrently on several OS threads,
 /// per-participant context slots across fiber switches, paper-scale
 /// participant counts, guard-page protection against stack overflow, and
 /// the failure path for exceptions thrown by engine callbacks.
@@ -8,9 +8,10 @@
 
 #include <alloca.h>
 
-#include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/caf2.hpp"
@@ -26,9 +27,6 @@ using namespace caf2::sim;
 /// --- the fiber primitive ----------------------------------------------------
 
 TEST(Fiber, PingPongTransfersControl) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   std::vector<int> order;
   Fiber fiber(64 * 1024, [&] {
     order.push_back(1);
@@ -51,9 +49,6 @@ TEST(Fiber, PingPongTransfersControl) {
 }
 
 TEST(Fiber, CurrentIsSetInsideTheFiber) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   Fiber* seen = nullptr;
   Fiber fiber(64 * 1024, [&] { seen = Fiber::current(); });
   fiber.resume();
@@ -62,9 +57,6 @@ TEST(Fiber, CurrentIsSetInsideTheFiber) {
 }
 
 TEST(Fiber, ManySequentialFibersRecycleStacks) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   // Hundreds of short-lived fibers must be cheap: the pool recycles the
   // mapping instead of hitting mmap/munmap each time.
   long total = 0;
@@ -78,9 +70,6 @@ TEST(Fiber, ManySequentialFibersRecycleStacks) {
 }
 
 TEST(Fiber, DeepStacksSurviveWithinTheLimit) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   // Recursion that stays inside the requested stack size must work; the
   // guard page only trips past the end.
   struct Recur {
@@ -100,85 +89,76 @@ TEST(Fiber, DeepStacksSurviveWithinTheLimit) {
   EXPECT_EQ(result, 0);
 }
 
-/// --- backend resolution -----------------------------------------------------
-
-TEST(FiberBackend, AutoResolvesToFibersWhereSupported) {
-  Engine engine(2, {});
-  const caf2::ExecBackend expect = fibers_supported()
-                                       ? caf2::ExecBackend::kFibers
-                                       : caf2::ExecBackend::kThreads;
-  EXPECT_EQ(engine.backend(), expect);
+/// The shard-worker shape: several OS threads, each ping-ponging its own
+/// fibers at the same time. Under ThreadSanitizer this exercises the fiber
+/// annotations below the engine — every switch stays on its thread, and the
+/// threads share only the process-wide stack pool.
+TEST(Fiber, ThreadsPingPongTheirOwnFibersConcurrently) {
+  constexpr int kWorkers = 2;
+  constexpr int kFibers = 4;
+  constexpr int kRounds = 200;
+  std::vector<long> sums(kWorkers, 0);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kWorkers; ++t) {
+    workers.emplace_back([t, &sums] {
+      long local = 0;
+      std::vector<std::unique_ptr<Fiber>> fibers;
+      for (int f = 0; f < kFibers; ++f) {
+        fibers.push_back(std::make_unique<Fiber>(64 * 1024, [&local, f] {
+          for (int r = 0; r < kRounds; ++r) {
+            local += f + 1;
+            Fiber::suspend();
+          }
+        }));
+      }
+      for (int r = 0; r <= kRounds; ++r) {
+        for (auto& fiber : fibers) {
+          fiber->resume();
+          EXPECT_EQ(Fiber::current(), nullptr);
+        }
+      }
+      for (auto& fiber : fibers) {
+        EXPECT_TRUE(fiber->finished());
+      }
+      sums[static_cast<std::size_t>(t)] = local;
+    });
+  }
+  for (auto& worker : workers) {
+    worker.join();
+  }
+  for (const long sum : sums) {
+    EXPECT_EQ(sum, kRounds * (kFibers * (kFibers + 1) / 2));
+  }
 }
 
-TEST(FiberBackend, ExplicitThreadsIsHonoured) {
-  EngineOptions options;
-  options.backend = caf2::ExecBackend::kThreads;
-  Engine engine(2, options);
-  EXPECT_EQ(engine.backend(), caf2::ExecBackend::kThreads);
-}
-
-TEST(FiberBackend, EnvVarOverridesOptions) {
-  ASSERT_EQ(setenv("CAF2_SIM_BACKEND", "threads", 1), 0);
-  {
-    EngineOptions options;
-    options.backend = caf2::ExecBackend::kFibers;
-    Engine engine(2, options);
-    EXPECT_EQ(engine.backend(), caf2::ExecBackend::kThreads);
-  }
-  if (fibers_supported()) {
-    ASSERT_EQ(setenv("CAF2_SIM_BACKEND", "fibers", 1), 0);
-    EngineOptions options;
-    options.backend = caf2::ExecBackend::kThreads;
-    Engine engine(2, options);
-    EXPECT_EQ(engine.backend(), caf2::ExecBackend::kFibers);
-  }
-  // Unknown values fail with a diagnostic instead of being ignored.
-  ASSERT_EQ(setenv("CAF2_SIM_BACKEND", "hamsters", 1), 0);
-  {
-    EngineOptions options;
-    options.backend = caf2::ExecBackend::kThreads;
-    EXPECT_THROW(Engine(2, options), caf2::UsageError);
-  }
-  unsetenv("CAF2_SIM_BACKEND");
-}
-
-/// --- engine behaviour on the fiber backend ----------------------------------
+/// --- engine behaviour on fibers ---------------------------------------------
 
 /// Each participant stores a distinctive pointer in its context slot, yields
 /// repeatedly, and checks the slot still holds its own value: the engine
 /// must swap the whole ExecContext on every fiber switch.
 TEST(FiberBackend, ContextSlotsAreIsolatedPerParticipant) {
-  for (const caf2::ExecBackend backend :
-       {caf2::ExecBackend::kThreads, caf2::ExecBackend::kFibers}) {
-    EngineOptions options;
-    options.backend = backend;
-    Engine engine(8, options);
-    engine.run([](int id) {
-      Engine& e = this_engine();
-      Engine::context_slot(0) =
-          reinterpret_cast<void*>(static_cast<std::uintptr_t>(id + 1));
-      for (int i = 0; i < 20; ++i) {
-        e.advance(0.5 * (id + 1));
-        ASSERT_EQ(Engine::context_slot(0),
-                  reinterpret_cast<void*>(static_cast<std::uintptr_t>(id + 1)))
-            << "slot leaked across participants, id=" << id;
-        if (i % 4 == 0) {
-          e.unblock((id + 3) % e.size());
-        }
+  Engine engine(8);
+  engine.run([](int id) {
+    Engine& e = this_engine();
+    Engine::context_slot(0) =
+        reinterpret_cast<void*>(static_cast<std::uintptr_t>(id + 1));
+    for (int i = 0; i < 20; ++i) {
+      e.advance(0.5 * (id + 1));
+      ASSERT_EQ(Engine::context_slot(0),
+                reinterpret_cast<void*>(static_cast<std::uintptr_t>(id + 1)))
+          << "slot leaked across participants, id=" << id;
+      if (i % 4 == 0) {
+        e.unblock((id + 3) % e.size());
       }
-    });
-  }
+    }
+  });
 }
 
 TEST(FiberBackend, RunsAThousandParticipants) {
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   // Paper scale: 1024 participants in one engine. Each participant advances
   // a few times and pokes a neighbour; the run must terminate and count
   // real context switches.
   EngineOptions options;
-  options.backend = caf2::ExecBackend::kFibers;
   options.fiber_stack_bytes = 128 * 1024;
   Engine engine(1024, options);
   engine.run([](int id) {
@@ -188,7 +168,6 @@ TEST(FiberBackend, RunsAThousandParticipants) {
       e.unblock((id + 1) % e.size());
     }
   });
-  EXPECT_EQ(engine.backend(), caf2::ExecBackend::kFibers);
   EXPECT_GT(engine.context_switch_count(), 1024u);
   Fiber::trim_stack_pool();
 }
@@ -196,70 +175,62 @@ TEST(FiberBackend, RunsAThousandParticipants) {
 /// --- failure paths ----------------------------------------------------------
 
 /// A participant body that throws must fail the whole run with a
-/// rank-tagged error on both backends (regression for the fiber unwind
-/// path, which resumes live fibers so their destructors run).
-TEST(FiberBackend, BodyExceptionFailsTheRunOnBothBackends) {
-  for (const caf2::ExecBackend backend :
-       {caf2::ExecBackend::kThreads, caf2::ExecBackend::kFibers}) {
-    EngineOptions options;
-    options.backend = backend;
-    options.label = "boom-test";
-    Engine engine(4, options);
-    bool cleaned[4] = {false, false, false, false};
-    try {
-      engine.run([&](int id) {
-        struct Cleanup {
-          bool* flag;
-          ~Cleanup() { *flag = true; }
-        } cleanup{&cleaned[id]};
-        Engine& e = this_engine();
-        e.advance(1.0 + id);
-        if (id == 2) {
-          throw std::runtime_error("participant exploded");
-        }
-        e.advance(100.0);
-      });
-      FAIL() << "run() must rethrow the body's failure";
-    } catch (const std::exception& e) {
-      EXPECT_NE(std::string(e.what()).find("participant exploded"),
-                std::string::npos)
-          << e.what();
-    }
-    // Every participant that started must have been unwound: stack objects
-    // destroyed even though the run failed.
-    for (int id = 0; id < 4; ++id) {
-      EXPECT_TRUE(cleaned[id]) << "participant " << id << " never unwound";
-    }
+/// rank-tagged error (regression for the fiber unwind path, which resumes
+/// live fibers so their destructors run).
+TEST(FiberBackend, BodyExceptionFailsTheRun) {
+  EngineOptions options;
+  options.label = "boom-test";
+  Engine engine(4, options);
+  bool cleaned[4] = {false, false, false, false};
+  try {
+    engine.run([&](int id) {
+      struct Cleanup {
+        bool* flag;
+        ~Cleanup() { *flag = true; }
+      } cleanup{&cleaned[id]};
+      Engine& e = this_engine();
+      e.advance(1.0 + id);
+      if (id == 2) {
+        throw std::runtime_error("participant exploded");
+      }
+      e.advance(100.0);
+    });
+    FAIL() << "run() must rethrow the body's failure";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("participant exploded"),
+              std::string::npos)
+        << e.what();
+  }
+  // Every participant that started must have been unwound: stack objects
+  // destroyed even though the run failed.
+  for (int id = 0; id < 4; ++id) {
+    EXPECT_TRUE(cleaned[id]) << "participant " << id << " never unwound";
   }
 }
 
-/// Satellite regression: a *callback* (Call event) that throws during
-/// dispatch must surface as a context-tagged FatalError instead of
-/// terminating the process — including when the dispatching context is the
-/// scheduler itself (fiber backend) rather than a participant thread.
+/// A *callback* (Call event) that throws during dispatch must surface as a
+/// context-tagged FatalError instead of terminating the process, although
+/// the dispatching context is the scheduler loop itself.
 TEST(FiberBackend, CallbackExceptionIsTaggedWithDispatchContext) {
-  for (const caf2::ExecBackend backend :
-       {caf2::ExecBackend::kThreads, caf2::ExecBackend::kFibers}) {
-    EngineOptions options;
-    options.backend = backend;
-    options.label = "cbfail";
-    Engine engine(3, options);
-    try {
-      engine.run([](int id) {
-        Engine& e = this_engine();
-        if (id == 0) {
-          e.post_in(5.0, [] { throw std::runtime_error("callback boom"); });
-        }
-        e.advance(50.0);
-      });
-      FAIL() << "run() must rethrow the callback's failure";
-    } catch (const caf2::FatalError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("cbfail"), std::string::npos) << what;
-      EXPECT_NE(what.find("engine callback"), std::string::npos) << what;
-      EXPECT_NE(what.find("callback boom"), std::string::npos) << what;
-      EXPECT_NE(what.find("dispatched from"), std::string::npos) << what;
-    }
+  EngineOptions options;
+  options.label = "cbfail";
+  Engine engine(3, options);
+  try {
+    engine.run([](int id) {
+      Engine& e = this_engine();
+      if (id == 0) {
+        e.post_in(5.0, [] { throw std::runtime_error("callback boom"); });
+      }
+      e.advance(50.0);
+    });
+    FAIL() << "run() must rethrow the callback's failure";
+  } catch (const caf2::FatalError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cbfail"), std::string::npos) << what;
+    EXPECT_NE(what.find("engine callback"), std::string::npos) << what;
+    EXPECT_NE(what.find("callback boom"), std::string::npos) << what;
+    EXPECT_NE(what.find("dispatched from the scheduler"), std::string::npos)
+        << what;
   }
 }
 
@@ -267,7 +238,7 @@ TEST(FiberBackend, CallbackExceptionIsTaggedWithDispatchContext) {
 
 void bump(caf2::Coref<long> counter) { counter.local()[0] += 1; }
 
-TEST(FiberBackend, RunStatsReportBackendAndSwitches) {
+TEST(FiberBackend, RunStatsReportSwitches) {
   caf2::RuntimeOptions options;
   options.num_images = 8;
   options.net = caf2::NetworkParams::gemini_like();
@@ -285,10 +256,6 @@ TEST(FiberBackend, RunStatsReportBackendAndSwitches) {
     EXPECT_EQ(counter[0], world.size());
     caf2::team_barrier(world);
   });
-  const caf2::ExecBackend expect = fibers_supported()
-                                       ? caf2::ExecBackend::kFibers
-                                       : caf2::ExecBackend::kThreads;
-  EXPECT_EQ(stats.backend, expect);
   EXPECT_GT(stats.context_switches, 0u);
   EXPECT_GT(stats.events, 0u);
 #if defined(__linux__)
@@ -313,9 +280,6 @@ TEST(FiberBackendDeathTest, StackOverflowHitsTheGuardPage) {
 #if defined(CAF2_TEST_ASAN)
   GTEST_SKIP() << "ASan reports the poisoned guard page differently";
 #else
-  if (!fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {

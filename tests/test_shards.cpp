@@ -1,6 +1,6 @@
 /// Sharded parallel-DES engine (DESIGN.md §4.11, §4.12) through the full
 /// runtime: shards=1 bit-identity with the serial engine, fixed-shard-count
-/// determinism across repeats and backends, cross-shard asynchronous
+/// determinism across repeats, cross-shard asynchronous
 /// constructs at paper scale, cross-shard deadlock postmortems, fault plans
 /// and obs span capture under sharding, adaptive lookahead windows, and the
 /// remaining zero-lookahead fallback to the serial engine.
@@ -19,7 +19,6 @@
 #include "runtime/internal.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/engine.hpp"
-#include "sim/fiber.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -127,7 +126,7 @@ TEST(Shards, ExplicitRequestBeatsEnvironment) {
   }
 }
 
-/// --- fixed shard count: deterministic across repeats and backends -----------
+/// --- fixed shard count: deterministic across repeats ------------------------
 
 TEST(Shards, FixedCountIsDeterministicAcrossRepeats) {
   for (const int shards : {2, 4}) {
@@ -146,30 +145,10 @@ TEST(Shards, FixedCountIsDeterministicAcrossRepeats) {
   }
 }
 
-TEST(Shards, ThreadsAndFibersAgreeWhenSharded) {
-  if (!sim::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
-  RuntimeOptions threads = shard_options(8, 4, 33);
-  threads.sim_backend = ExecBackend::kThreads;
-  RuntimeOptions fibers = shard_options(8, 4, 33);
-  fibers.sim_backend = ExecBackend::kFibers;
-  const Fingerprint a = fingerprint_run(threads, mixed_workload);
-  const Fingerprint b = fingerprint_run(fibers, mixed_workload);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.end_us, b.end_us);
-  EXPECT_EQ(a.image0_us, b.image0_us);
-  EXPECT_EQ(a.shard_events, b.shard_events);
-}
-
 /// --- cross-shard constructs at paper scale ----------------------------------
 
 TEST(Shards, CrossShardConstructsAtPaperScale) {
-  // Without fibers (TSan builds) every image is an OS thread — keep the
-  // thread count civilised there, paper-scale otherwise.
-  const int kImages = sim::fibers_supported() ? 4096 : 512;
-  RuntimeOptions options = shard_options(kImages, 4, 5);
+  RuntimeOptions options = shard_options(4096, 4, 5);
   options.record_trace = false;  // 4K images: keep memory flat
   const RunStats stats = run_stats(options, [] {
     Team world = team_world();
@@ -213,9 +192,6 @@ TEST(Shards, FinishDetectionBoundHoldsAtPaperScaleSharded) {
   // Paper Theorem 1 (at most L+1 reduction waves) at 4K images on four
   // shards: the termination detector must stay within the bound when its
   // reduction waves cross shard boundaries, not merely terminate.
-  if (!sim::fibers_supported()) {
-    GTEST_SKIP() << "4096 OS threads is too heavy without the fiber backend";
-  }
   const int depth = 6;
   RuntimeOptions options = shard_options(4096, 4, 53);
   options.record_trace = false;  // 4K images: keep memory flat
@@ -321,23 +297,6 @@ TEST(Shards, FaultPlansRunShardedAndDeterministically) {
   EXPECT_EQ(summed.acks_dropped, stats.faults.acks_dropped);
 }
 
-TEST(Shards, FaultyShardedRunsAgreeAcrossBackends) {
-  if (!sim::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
-  RuntimeOptions threads = faulty_shard_options(8, 4, 31);
-  threads.sim_backend = ExecBackend::kThreads;
-  RuntimeOptions fibers = faulty_shard_options(8, 4, 31);
-  fibers.sim_backend = ExecBackend::kFibers;
-  const Fingerprint a = fingerprint_run(threads, mixed_workload);
-  const Fingerprint b = fingerprint_run(fibers, mixed_workload);
-  EXPECT_EQ(a.shards, 4);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.end_us, b.end_us);
-  EXPECT_EQ(a.shard_events, b.shard_events);
-}
-
 /// --- obs span capture under sharding (DESIGN.md §4.12) ----------------------
 
 RuntimeOptions obs_shard_options(int images, int shards, std::uint64_t seed) {
@@ -374,27 +333,6 @@ TEST(Shards, ObsCaptureDoesNotPerturbShardedSchedules) {
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
-}
-
-TEST(Shards, ShardedObsCapturesAgreeAcrossBackends) {
-  if (!sim::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build";
-  }
-  if (std::getenv("CAF2_SIM_BACKEND") != nullptr) {
-    GTEST_SKIP() << "CAF2_SIM_BACKEND pins the backend for this run";
-  }
-  RuntimeOptions threads = obs_shard_options(8, 4, 41);
-  threads.sim_backend = ExecBackend::kThreads;
-  RuntimeOptions fibers = obs_shard_options(8, 4, 41);
-  fibers.sim_backend = ExecBackend::kFibers;
-  const RunStats a = run_stats(threads, mixed_workload);
-  const RunStats b = run_stats(fibers, mixed_workload);
-  ASSERT_NE(a.obs, nullptr);
-  ASSERT_NE(b.obs, nullptr);
-  // to_text prints the backend line from the capture itself; compare the
-  // tracks through the blame analyzer (backend-independent) and the span
-  // payloads via chrome-trace export.
-  EXPECT_EQ(obs::to_chrome_trace(*a.obs), obs::to_chrome_trace(*b.obs));
 }
 
 /// --- adaptive lookahead windows (DESIGN.md §4.12) ---------------------------
