@@ -39,7 +39,6 @@
 #include "core/caf2.hpp"
 #include "obs/blame.hpp"
 #include "obs/export.hpp"
-#include "sim/engine.hpp"
 #include "support/bench_io.hpp"
 #include "support/table.hpp"
 
@@ -250,13 +249,9 @@ inline void emit_bench_json(const BenchArgs& args, const std::string& name,
   meta.emplace_back("hardware_threads",
                     std::to_string(std::thread::hardware_concurrency()));
   meta.emplace_back("shards", std::to_string(args.shards));
-  // Resolved conservative-window policy (RunStats::lookahead_mode) the sweep
-  // ran under: "serial" for one shard, else adaptive unless the config or
-  // CAF2_SIM_ADAPTIVE_LOOKAHEAD turned it off.
-  meta.emplace_back("lookahead_mode",
-                    args.shards <= 1 ? "serial"
-                    : sim::resolve_adaptive_lookahead(true) ? "adaptive"
-                                                            : "static");
+  // Conservative-window shape the sweep ran under (RunStats::lookahead_mode),
+  // derived from the shard count alone.
+  meta.emplace_back("lookahead_mode", args.shards <= 1 ? "serial" : "static");
   if (write_bench_json(path, name, records, meta)) {
     std::printf("\nwrote %s\n", path.c_str());
   } else {

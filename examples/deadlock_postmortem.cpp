@@ -11,8 +11,8 @@
 /// the acceptance check for the diagnosis subsystem at scale (CI runs it at
 /// 512 images under the fiber backend).
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/caf2.hpp"
@@ -49,11 +49,20 @@ int main(int argc, char** argv) {
   std::string out = "postmortem";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool ok = true;
     if (arg.rfind("--images=", 0) == 0) {
-      images = std::atoi(arg.c_str() + 9);
+      // The whole value must be a decimal integer: "512x" is rejected, not
+      // read as 512.
+      const char* first = arg.data() + 9;
+      const char* last = arg.data() + arg.size();
+      const auto [stop, error] = std::from_chars(first, last, images);
+      ok = error == std::errc{} && stop == last;
     } else if (arg.rfind("--out=", 0) == 0) {
       out = arg.substr(6);
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr, "usage: %s [--images=N] [--out=prefix]\n", argv[0]);
       return 2;
     }

@@ -69,18 +69,17 @@ struct RunStats {
   std::uint64_t peak_rss_bytes = 0;
   /// --- sharded execution (DESIGN.md §4.11) ----------------------------------
   /// shards, windows, window_stalls, and shard_events are deterministic for a
-  /// fixed shard count; shards=1 reports windows = window_stalls = 0 and a
-  /// single shard_events entry equal to `events`, matching the legacy engine.
+  /// fixed shard count; shards=1 reports one shard_events entry equal to
+  /// `events` and, without a watchdog, a single window.
   int shards = 1;                     ///< engine shards the run executed on
   std::uint64_t windows = 0;          ///< conservative window advances
   std::uint64_t window_stalls = 0;    ///< per-shard window entries with no
                                       ///< dispatchable event (scaling-loss
                                       ///< diagnostic, summed over shards)
   std::vector<std::uint64_t> shard_events;  ///< events dispatched per shard
-  /// Resolved conservative-window policy: "serial" (one shard), "static"
-  /// (windows pinned to the global minimum plus the lookahead), or
-  /// "adaptive" (per-shard windows from the other shards' next-event lower
-  /// bounds; RuntimeOptions::adaptive_lookahead / CAF2_SIM_ADAPTIVE_LOOKAHEAD).
+  /// Conservative-window shape, derived from the shard count: "serial" (one
+  /// shard, unbounded windows) or "static" (windows pinned to the global
+  /// minimum plus the lookahead).
   std::string lookahead_mode = "serial";
   FaultStats faults{};       ///< injected-fault / retransmission counters
   /// Per-shard fault/protocol counters (one entry per shard; summed they

@@ -12,39 +12,32 @@ namespace caf2::net {
 Network::Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed)
     : engine_(engine),
       params_(std::move(params)),
-      jitter_rng_(seed),
       mailboxes_(static_cast<std::size_t>(engine.size())),
-      traffic_(static_cast<std::size_t>(engine.size())),
-      // The fault stream is independent of the jitter stream so that
-      // enabling a FaultPlan leaves a run's jitter draws untouched.
-      fault_rng_(SplitMix64(seed).child(1)) {
+      traffic_(static_cast<std::size_t>(engine.size())) {
   params_.validate();
   reliable_ = params_.reliable_delivery();
   faults_active_ = params_.faults.active();
-  if (engine.sharded()) {
-    SplitMix64 seeder(seed);
-    const int shard_count = engine.shard_count();
-    shard_jitter_.reserve(static_cast<std::size_t>(shard_count));
-    shard_fault_.reserve(static_cast<std::size_t>(shard_count));
-    for (int shard = 0; shard < shard_count; ++shard) {
-      // child(0) is unused here and child(1) feeds the legacy serial fault
-      // stream; the per-shard jitter streams are children 2..shard_count+1
-      // and the per-shard fault streams follow at shard_count+2 onward.
-      shard_jitter_.emplace_back(
-          seeder.child(static_cast<std::uint64_t>(shard) + 2));
-      shard_fault_.emplace_back(seeder.child(
-          static_cast<std::uint64_t>(shard_count) +
-          static_cast<std::uint64_t>(shard) + 2));
-    }
+  // One jitter and one fault stream per shard. The fault stream is
+  // independent of the jitter stream so that enabling a FaultPlan leaves a
+  // run's jitter draws untouched. A lone shard draws jitter from the seed
+  // itself and faults from child(1); with n > 1 shards the jitter streams
+  // are children 2..n+1 and the fault streams children n+2..2n+1.
+  const SplitMix64 seeder(seed);
+  const auto shard_count = static_cast<std::uint64_t>(engine.shard_count());
+  shard_jitter_.reserve(shard_count);
+  shard_fault_.reserve(shard_count);
+  for (std::uint64_t shard = 0; shard < shard_count; ++shard) {
+    shard_jitter_.emplace_back(shard_count == 1 ? seed
+                                                : seeder.child(shard + 2));
+    shard_fault_.emplace_back(
+        seeder.child(shard_count == 1 ? 1 : shard_count + shard + 2));
   }
-  // One protocol cell per shard (one total for serial engines); flight ids
-  // carry the owning cell in their top 16 bits, so a shard count past 2^16
-  // would make rel_shard_of() route acks and retransmit timers to the wrong
-  // cell.
+  // One protocol cell per shard; flight ids carry the owning cell in their
+  // top 16 bits, so a shard count past 2^16 would make rel_shard_of() route
+  // acks and retransmit timers to the wrong cell.
   CAF2_REQUIRE(engine.shard_count() <= (1 << 16),
                "Network: shard count exceeds the flight-id shard field");
-  rel_shards_.resize(
-      engine.sharded() ? static_cast<std::size_t>(engine.shard_count()) : 1);
+  rel_shards_.resize(static_cast<std::size_t>(engine.shard_count()));
   if (reliable_) {
     send_links_.resize(static_cast<std::size_t>(engine.size()));
     recv_links_.resize(static_cast<std::size_t>(engine.size()));
@@ -75,26 +68,15 @@ void Network::reset_traffic() {
 }
 
 Xoshiro256ss& Network::jitter_rng() {
-  if (shard_jitter_.empty()) {
-    return jitter_rng_;
-  }
   return shard_jitter_[static_cast<std::size_t>(engine_.current_shard())];
 }
 
 Xoshiro256ss& Network::fault_rng() {
-  if (shard_fault_.empty()) {
-    return fault_rng_;
-  }
   return shard_fault_[static_cast<std::size_t>(engine_.current_shard())];
 }
 
 bool Network::cross_shard(int source, int dest) const {
-  return engine_.sharded() &&
-         engine_.shard_of(source) != engine_.shard_of(dest);
-}
-
-int Network::calling_shard_index() const {
-  return engine_.sharded() ? engine_.current_shard() : 0;
+  return engine_.shard_of(source) != engine_.shard_of(dest);
 }
 
 FaultStats Network::fault_stats() const {
@@ -179,7 +161,7 @@ void Network::run_deliver_phase(Flight flight) {
     const double now = engine_.now();
     span = observer_->flight_span(source, static_cast<int>(dest),
                                   flight.init_us, now, bytes,
-                                  calling_shard_index());
+                                  engine_.current_shard());
     observer_->note_cause(static_cast<int>(dest), span);
     observer_->add(static_cast<int>(dest), obs::Counter::kMessagesDelivered);
     observer_->maxed(static_cast<int>(dest), obs::Counter::kMailboxHighWater,
@@ -367,7 +349,7 @@ void Network::deliver_cross(Message message, double init_us) {
     const double now = engine_.now();
     const std::uint64_t span =
         observer_->flight_span(source, static_cast<int>(dest), init_us, now,
-                               bytes, calling_shard_index());
+                               bytes, engine_.current_shard());
     observer_->note_cause(static_cast<int>(dest), span);
     observer_->add(static_cast<int>(dest), obs::Counter::kMessagesDelivered);
     observer_->maxed(static_cast<int>(dest), obs::Counter::kMailboxHighWater,
@@ -472,7 +454,7 @@ std::uint64_t Network::admit_flight(Message message, SendCallbacks callbacks,
   CAF2_ASSERT(cell.next_flight_id < (std::uint64_t{1} << 48),
               "admit_flight: per-shard flight-id counter overflow");
   const std::uint64_t id =
-      (static_cast<std::uint64_t>(calling_shard_index()) << 48) |
+      (static_cast<std::uint64_t>(engine_.current_shard()) << 48) |
       cell.next_flight_id++;
   ReliableFlight flight;
   flight.seq = sender.next_seq++;
@@ -498,8 +480,8 @@ Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
   }
   const MessageHeader& header = flight.message->header;
   // A fixed number of fault-stream draws per attempt keeps the stream
-  // aligned no matter which faults actually fire. On a sharded engine the
-  // draws come from the calling (source) shard's stream.
+  // aligned no matter which faults actually fire. The draws come from the
+  // calling (source) shard's stream.
   Xoshiro256ss& rng = fault_rng();
   const double u_drop = rng.next_double();
   const double u_dup = rng.next_double();
@@ -703,7 +685,7 @@ void Network::deliver_attempt(const std::shared_ptr<const Message>& message,
         begin = it->second.first_sent_us;
         expected = it->second.expected_deliver_us;
       }
-      const int lane = calling_shard_index();
+      const int lane = engine_.current_shard();
       const std::uint64_t span =
           observer_->flight_span(header.source, header.dest, begin, now,
                                  message->size_bytes(), lane);
@@ -763,7 +745,7 @@ void Network::deliver_attempt_cross(
   }
   if (observer_ != nullptr) {
     const double now = engine_.now();
-    const int lane = calling_shard_index();
+    const int lane = engine_.current_shard();
     const std::uint64_t span =
         observer_->flight_span(header.source, header.dest, first_sent_us, now,
                                message->size_bytes(), lane);
@@ -805,7 +787,7 @@ void Network::handle_ack(std::uint64_t id) {
     if (now > flight.expected_ack_us + 1e-9) {
       observer_->retransmit_span(header.source, header.dest,
                                  flight.expected_ack_us, now,
-                                 calling_shard_index());
+                                 engine_.current_shard());
     }
   }
   SendCallbacks callbacks = std::move(it->second.callbacks);

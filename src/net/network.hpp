@@ -163,8 +163,8 @@ class Network {
   /// when reliable() is off).
   FaultStats fault_stats() const;
 
-  /// Per-shard fault/protocol counters (one entry per engine shard; a single
-  /// entry for serial runs). Deliveries dropped/duplicated/delayed, ack
+  /// Per-shard fault/protocol counters (one entry per engine shard).
+  /// Deliveries dropped/duplicated/delayed, ack
   /// losses, and retransmits are charged to the *source* shard;
   /// duplicates_suppressed to the destination shard.
   std::vector<FaultStats> shard_fault_stats() const;
@@ -208,22 +208,14 @@ class Network {
   };
   Timing plan(double now, std::size_t bytes);
 
-  /// The jitter stream timing draws come from: the per-shard stream of the
-  /// calling shard on a sharded engine, the single legacy stream otherwise.
+  /// The calling shard's jitter stream, which timing draws come from.
   Xoshiro256ss& jitter_rng();
 
-  /// The fault stream attempt decisions come from: the per-shard stream of
-  /// the calling shard on a sharded engine, the single legacy stream
-  /// otherwise.
+  /// The calling shard's fault stream, which attempt decisions come from.
   Xoshiro256ss& fault_rng();
 
   /// True when source and destination images live on different shards.
   bool cross_shard(int source, int dest) const;
-
-  /// The calling context's shard index (0 on an unsharded engine) — the
-  /// recorder net lane and ReliableShard cell every source-side operation
-  /// uses.
-  int calling_shard_index() const;
 
   /// One in-flight message. A flight owns the message plus its completion
   /// callbacks and walks the stage → deliver → ack chain as a *single*
@@ -371,10 +363,9 @@ class Network {
 
   sim::Engine& engine_;
   NetworkParams params_;
-  Xoshiro256ss jitter_rng_;
-  /// One jitter stream per shard on a sharded engine (empty otherwise):
-  /// each shard's timing draws are then a pure function of that shard's
-  /// deterministic execution, independent of cross-shard interleaving.
+  /// One jitter stream per shard: each shard's timing draws are then a pure
+  /// function of that shard's deterministic execution, independent of
+  /// cross-shard interleaving.
   std::vector<Xoshiro256ss> shard_jitter_;
   std::vector<Mailbox> mailboxes_;
   /// traffic_[x] is only ever written by image x's shard (out-fields at the
@@ -387,10 +378,9 @@ class Network {
   // reliable-delivery state (empty when reliable_ is false)
   bool reliable_ = false;
   bool faults_active_ = false;
-  Xoshiro256ss fault_rng_;
-  /// One fault stream per shard on a sharded engine (empty otherwise),
-  /// mirroring shard_jitter_: each shard's attempt decisions are a pure
-  /// function of its own deterministic execution.
+  /// One fault stream per shard, mirroring shard_jitter_: each shard's
+  /// attempt decisions are a pure function of its own deterministic
+  /// execution.
   std::vector<Xoshiro256ss> shard_fault_;
   /// send_links_[source][dest] and recv_links_[dest][source]: one map per
   /// image (size() entries when reliable_, else empty), each holding only the
@@ -400,7 +390,7 @@ class Network {
   /// Per-shard reliable-protocol cell: the flights retained by this (source)
   /// shard, its flight-id counter, and its fault counters. Flight ids are
   /// (shard << 48) | local, so id >> 48 recovers the owning cell from
-  /// anywhere (serial runs use cell 0 and get the plain counter).
+  /// anywhere (a one-shard run uses cell 0 and gets the plain counter).
   struct ReliableShard {
     std::map<std::uint64_t, ReliableFlight> inflight;
     std::uint64_t next_flight_id = 0;
@@ -410,7 +400,7 @@ class Network {
 
   /// The calling shard's protocol cell.
   ReliableShard& rel_shard() {
-    return rel_shards_[static_cast<std::size_t>(calling_shard_index())];
+    return rel_shards_[static_cast<std::size_t>(engine_.current_shard())];
   }
   /// The cell owning flight \p id (its source shard's).
   ReliableShard& rel_shard_of(std::uint64_t id) {

@@ -31,25 +31,22 @@ void set_current(Image* image, Runtime* runtime) {
 }
 
 /// Exit rendezvous: images leave the SPMD body collectively so that no image
-/// tears down while teammates still expect its participation. Implemented as
-/// a shared counter (a runtime service, not a modeled collective).
+/// tears down while teammates still expect its participation (a runtime
+/// service, not a modeled collective).
 ///
-/// On a *sharded* engine a bare shared counter would be read at real-time-
-/// racy moments: an image polled awake on one shard could observe arrivals
-/// another shard made "in the future" of its own virtual clock, making the
-/// final wake times — and thus traces and context-switch counts — differ
-/// between identically-seeded runs. The sharded gate is therefore event-
+/// A bare shared counter would be read at real-time-racy moments on a
+/// multi-shard engine: an image polled awake on one shard could observe
+/// arrivals another shard made "in the future" of its own virtual clock,
+/// making the final wake times — and thus traces and context-switch counts —
+/// differ between identically-seeded runs. The gate is therefore event-
 /// driven: arrivals funnel to image 0's shard as engine events (one
-/// conservative-lookahead hop), and the completed count releases each image
-/// through a per-image flag written only by that image's own shard, so every
-/// predicate read is a deterministic function of virtual time. The unsharded
-/// path keeps the legacy counter verbatim (bit-identical traces).
+/// conservative-lookahead hop; zero on one shard), and the completed count
+/// releases each image through a per-image flag written only by that image's
+/// own shard, so every predicate read is a deterministic function of virtual
+/// time.
 struct ExitGate {
   int expected = 0;
-  // legacy (unsharded) path
-  int arrived = 0;
-  // sharded path: collect on image 0's shard, release per image
-  int collected = 0;
+  int collected = 0;  ///< arrivals counted on image 0's shard
   std::unique_ptr<std::atomic<bool>[]> released;
 };
 }  // namespace
@@ -86,7 +83,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   // DESIGN.md §4.12); only a zero-latency "instant" network still forces the
   // engine back to one shard, because it leaves no positive lookahead.
   engine_options.lookahead_us = options_.net.latency_us;
-  engine_options.adaptive_lookahead = options_.adaptive_lookahead;
   engine_ = std::make_unique<sim::Engine>(options_.num_images,
                                           std::move(engine_options));
   network_ = std::make_unique<net::Network>(*engine_, options_.net,
@@ -146,10 +142,8 @@ void Runtime::run(const std::function<void()>& body) {
 
   auto gate = std::make_shared<ExitGate>();
   gate->expected = num_images();
-  if (engine_->sharded()) {
-    gate->released =
-        std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(num_images()));
-  }
+  gate->released =
+      std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(num_images()));
 
   engine_->run([this, &body, gate](int id) {
     Image* image = images_[static_cast<std::size_t>(id)].get();
@@ -158,48 +152,30 @@ void Runtime::run(const std::function<void()>& body) {
       body();
       // Collective exit: wait until every image finished its body so that
       // in-flight messages (e.g. steals landing on an already-done image)
-      // still find a live progress engine.
-      if (!engine_->sharded()) {
-        gate->arrived += 1;
-        if (gate->arrived == gate->expected) {
-          for (int rank = 0; rank < num_images(); ++rank) {
-            if (rank != id) {
-              engine_->unblock(rank);
-            }
+      // still find a live progress engine. The arrival funnels to image 0's
+      // shard one lookahead hop ahead (the cross-shard minimum); the
+      // completing arrival fans the release out, again one hop ahead,
+      // through per-image flags that only the target image's own shard ever
+      // writes. Every predicate read below is then a function of virtual
+      // time alone.
+      sim::Engine* eng = engine_.get();
+      const double hop = eng->lookahead_us();
+      const int n = num_images();
+      eng->post_for(0, eng->now() + hop, [gate, eng, hop, n] {
+        gate->collected += 1;
+        if (gate->collected == gate->expected) {
+          for (int rank = 0; rank < n; ++rank) {
+            eng->post_for(rank, eng->now() + hop, [gate, eng, rank] {
+              gate->released[rank].store(true, std::memory_order_release);
+              eng->unblock(rank);
+            });
           }
-        } else {
-          image->wait_for(
-              [&] { return gate->arrived == gate->expected; },
-              "exit rendezvous",
-              obs::ResourceId{obs::ResourceKind::kExitGate, -1, 0, 0});
         }
-      } else {
-        // Funnel the arrival to image 0's shard one lookahead hop ahead (the
-        // cross-shard minimum); the completing arrival fans the release out,
-        // again one hop ahead, through per-image flags that only the target
-        // image's own shard ever writes. Every predicate read below is then
-        // a function of virtual time alone.
-        sim::Engine* eng = engine_.get();
-        const double hop = eng->lookahead_us();
-        const int n = num_images();
-        eng->post_for(0, eng->now() + hop, [gate, eng, hop, n] {
-          gate->collected += 1;
-          if (gate->collected == gate->expected) {
-            for (int rank = 0; rank < n; ++rank) {
-              eng->post_for(rank, eng->now() + hop, [gate, eng, rank] {
-                gate->released[rank].store(true, std::memory_order_release);
-                eng->unblock(rank);
-              });
-            }
-          }
-        });
-        image->wait_for(
-            [&] {
-              return gate->released[id].load(std::memory_order_acquire);
-            },
-            "exit rendezvous",
-            obs::ResourceId{obs::ResourceKind::kExitGate, -1, 0, 0});
-      }
+      });
+      image->wait_for(
+          [&] { return gate->released[id].load(std::memory_order_acquire); },
+          "exit rendezvous",
+          obs::ResourceId{obs::ResourceKind::kExitGate, -1, 0, 0});
       set_current(nullptr, nullptr);
     } catch (const UsageError& e) {
       // Tag escaping exceptions with the faulting image's rank. Usage errors

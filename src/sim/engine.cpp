@@ -57,18 +57,14 @@ int resolve_shards(int configured) {
   return 1;
 }
 
-bool resolve_adaptive_lookahead(bool configured) {
-  return env_flag("CAF2_SIM_ADAPTIVE_LOOKAHEAD", configured);
-}
-
 namespace {
 /// The calling context's identity. The fiber scheduler swaps it on every
 /// fiber switch (the suspended copy lives in Participant::context).
 thread_local ExecContext tls_context;
 
-/// The shard the calling OS thread works for (multi-shard runs only). Set by
-/// shard workers for their whole tenure; fiber switches never change the OS
-/// thread, so unlike tls_context this needs no swapping.
+/// The shard the calling OS thread works for. Set by a shard's scheduler
+/// loop for its whole tenure; fiber switches never change the OS thread, so
+/// unlike tls_context this needs no swapping.
 struct ShardTls {
   Engine* engine = nullptr;
   int index = 0;
@@ -95,14 +91,18 @@ Engine::Engine(int participants, EngineOptions options)
   int shard_count = resolve_shards(options_.shards);
   lookahead_ = options_.lookahead_us;
   if (lookahead_ <= 0.0) {
-    shard_count = 1;  // no conservative window exists -> serial execution
+    shard_count = 1;  // no conservative window exists -> one shard
   }
   shard_count = std::min(shard_count, participants);
-  sharded_ = shard_count > 1;
-  if (!sharded_) {
+  // A lone shard has no peer to bound its window.
+  if (shard_count == 1) {
     lookahead_ = 0.0;
   }
-  adaptive_ = sharded_ && resolve_adaptive_lookahead(options_.adaptive_lookahead);
+  window_span_ = shard_count == 1 ? std::numeric_limits<double>::infinity()
+                                  : lookahead_;
+  if (options_.watchdog_quiet_us > 0.0) {
+    window_span_ = std::min(window_span_, options_.watchdog_quiet_us);
+  }
 
   participants_.reserve(static_cast<std::size_t>(participants));
   for (int i = 0; i < participants; ++i) {
@@ -137,23 +137,14 @@ Engine::~Engine() {
 }
 
 Engine::Shard& Engine::calling_shard() {
-  if (sharded_ && tls_shard.engine == this) {
-    return *shards_[static_cast<std::size_t>(tls_shard.index)];
-  }
-  return *shards_[0];
+  return *shards_[static_cast<std::size_t>(current_shard())];
 }
 
 int Engine::current_shard() const {
-  if (!sharded_) {
-    return tls_context.engine == this ? 0 : -1;
-  }
-  return tls_shard.engine == this ? tls_shard.index : -1;
+  return tls_shard.engine == this ? tls_shard.index : 0;
 }
 
 double Engine::now() const {
-  if (!sharded_) {
-    return shards_[0]->now_us.load(std::memory_order_relaxed);
-  }
   if (tls_shard.engine == this) {
     return shards_[static_cast<std::size_t>(tls_shard.index)]->now_us.load(
         std::memory_order_relaxed);
@@ -218,14 +209,6 @@ void Engine::record(Shard& shard, TraceKind kind, int participant) {
                                    kind, participant});
 }
 
-void Engine::fail_locked(const std::string& why) {
-  if (failed()) {
-    return;
-  }
-  failure_reason_ = options_.label + ": " + why;
-  failed_.store(true, std::memory_order_release);
-}
-
 std::shared_ptr<const obs::Postmortem> Engine::build_postmortem_locked(
     obs::FailKind kind, const std::string& headline) {
   auto pm = std::make_shared<obs::Postmortem>();
@@ -278,15 +261,6 @@ std::shared_ptr<const obs::Postmortem> Engine::build_postmortem_locked(
   return pm;
 }
 
-void Engine::fail_report_locked(obs::FailKind kind,
-                                const std::string& headline) {
-  if (failed()) {
-    return;  // the first failure's postmortem wins
-  }
-  last_postmortem_ = build_postmortem_locked(kind, headline);
-  fail_locked(obs::to_text(*last_postmortem_));
-}
-
 void Engine::fail_pending(obs::FailKind kind, const std::string& headline,
                           std::exception_ptr participant_error,
                           bool callback_error) {
@@ -315,9 +289,8 @@ void Engine::finish_failure_locked() {
     if (!first_error_) {
       // Synthesize the error every participant will surface so the exception
       // run() rethrows is deterministic (with live workers, "first
-      // participant to unwind" would be a race). Callback failures mirror
-      // the single-shard message (label + headline); everything else carries
-      // the full postmortem rendering.
+      // participant to unwind" would be a race). Callback failures carry
+      // label + headline; everything else the full postmortem rendering.
       const std::string what = pending_fail_is_callback_
                                    ? options_.label + ": " + pending_fail_headline_
                                    : failure_reason_;
@@ -354,13 +327,9 @@ void Engine::fail(const std::string& why) {
 }
 
 void Engine::fail(const std::string& why, obs::FailKind kind) {
-  if (sharded_ && !quiesced_.load(std::memory_order_acquire)) {
-    // Other shards are executing: record the failure now, collect the
-    // postmortem at the next window barrier where every shard is quiesced.
-    fail_pending(kind, why, nullptr, false);
-    return;
-  }
-  fail_report_locked(kind, why);
+  // Record the failure now; the postmortem is collected at the next window
+  // barrier, where every shard is quiesced.
+  fail_pending(kind, why, nullptr, false);
 }
 
 void Engine::set_postmortem_collector(PostmortemCollector fn) {
@@ -368,10 +337,10 @@ void Engine::set_postmortem_collector(PostmortemCollector fn) {
 }
 
 obs::Postmortem Engine::snapshot_postmortem(const std::string& headline) {
-  if (!sharded_ || quiesced_.load(std::memory_order_acquire)) {
+  if (quiesced_.load(std::memory_order_acquire)) {
     return *build_postmortem_locked(obs::FailKind::kOnDemand, headline);
   }
-  // Mid-run snapshot of a sharded engine: other shards are executing, so
+  // Mid-run snapshot of a multi-shard engine: other shards are executing, so
   // per-participant state and the collector's sections cannot be read
   // race-free. Report the engine-level counters only.
   obs::Postmortem pm;
@@ -383,7 +352,7 @@ obs::Postmortem Engine::snapshot_postmortem(const std::string& headline) {
   pm.images = size();
   pm.classification = obs::classify(obs::FailKind::kOnDemand, false);
   pm.collector_error =
-      "sharded run in progress: per-image state and collector sections "
+      "multi-shard run in progress: per-image state and collector sections "
       "unavailable";
   return pm;
 }
@@ -418,45 +387,16 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
     if (failed() || shard.finished_count == shard.count) {
       return nullptr;
     }
-    if (sharded_) {
-      // An exhausted shard is not a deadlock: other shards may still feed
-      // this one at the next window merge. The barrier performs the global
-      // deadlock / budget / watchdog checks with every shard quiesced.
-      if (shard.heap.empty() ||
-          shard.heap.top().at >=
-              shard.window_end.load(std::memory_order_relaxed)) {
-        return nullptr;
-      }
-      if (options_.max_events != 0 &&
-          total_dispatched() >= options_.max_events) {
-        return nullptr;
-      }
-    } else {
-      if (shard.heap.empty()) {
-        fail_report_locked(obs::FailKind::kDeadlock,
-                           "deadlock: no pending events and every "
-                           "unfinished participant is blocked");
-        return nullptr;
-      }
-      if (options_.max_events != 0 &&
-          shard.dispatched.load(std::memory_order_relaxed) >=
-              options_.max_events) {
-        fail_report_locked(obs::FailKind::kEventBudget,
-                           "simulation event budget exceeded");
-        return nullptr;
-      }
-      if (options_.watchdog_quiet_us > 0.0 &&
-          shard.heap.top().at >
-              shard.now_us.load(std::memory_order_relaxed) +
-                  options_.watchdog_quiet_us &&
-          all_unfinished_blocked_locked()) {
-        std::ostringstream os;
-        os << "watchdog: every image is blocked and no event is due within "
-           << options_.watchdog_quiet_us << " us (next event at t="
-           << shard.heap.top().at << " us)";
-        fail_report_locked(obs::FailKind::kQuietWatchdog, os.str());
-        return nullptr;
-      }
+    // An exhausted shard is not a deadlock: other shards may still feed this
+    // one at the next window merge. The barrier performs the global deadlock
+    // / budget / watchdog checks with every shard quiesced.
+    if (shard.heap.empty() ||
+        shard.heap.top().at >=
+            shard.window_end.load(std::memory_order_relaxed)) {
+      return nullptr;
+    }
+    if (options_.max_events != 0 && total_dispatched() >= options_.max_events) {
+      return nullptr;
     }
 
     const Event event = shard.heap.top();
@@ -487,18 +427,8 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
       // A throwing callback must not propagate through the scheduler loop
       // (it would escape run() with fibers still live). Convert it into an
       // engine failure.
-      const std::string what = describe_callback_error(error);
-      if (sharded_) {
-        fail_pending(obs::FailKind::kCallbackError, what, nullptr,
-                     /*callback_error=*/true);
-      } else if (!first_error_) {
-        fail_report_locked(obs::FailKind::kCallbackError, what);
-        first_error_ = std::make_exception_ptr(
-            obs::StallError(options_.label + ": " + what, last_postmortem_));
-      } else {
-        fail_report_locked(obs::FailKind::kCallbackError,
-                           "engine callback raised an exception");
-      }
+      fail_pending(obs::FailKind::kCallbackError, describe_callback_error(error),
+                   nullptr, /*callback_error=*/true);
       return nullptr;
     }
 
@@ -524,14 +454,12 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
 void Engine::switch_out(Participant& self) {
   self.active = false;
   // Hand control back to the shard's scheduler loop, which dispatches the
-  // next event. If the run already failed *and* the failure postmortem is
-  // ready, suspending would leave this fiber parked forever (the unwind pass
-  // resumes each live fiber exactly once) — throw immediately instead. A
-  // sharded run builds the postmortem at the window barrier, so until
-  // shutdown_ready_ the fiber still parks normally and the unwind pass
-  // (which runs only after the barrier completed the failure) picks it up.
-  if (!failed() ||
-      (sharded_ && !shutdown_ready_.load(std::memory_order_acquire))) {
+  // next event. Once the window barrier has completed a failure
+  // (shutdown_ready_), suspending would leave this fiber parked forever (the
+  // unwind pass resumes each live fiber exactly once) — throw immediately
+  // instead. Until then the fiber parks normally and the unwind pass, which
+  // runs only after the barrier completed the failure, picks it up.
+  if (!shutdown_ready_.load(std::memory_order_acquire)) {
     Fiber::suspend();
   }
   if (failed()) {
@@ -557,16 +485,15 @@ void Engine::advance(double dt) {
   // and the switch_out() handoff entirely. Ties at `target` go to the heap
   // (existing events hold smaller sequence numbers), so the strict `>`
   // comparison is exact, and the recorded trace (kAdvance then kWake) is
-  // bit-identical to the slow path's. In a sharded run the jump must also
-  // stay strictly inside the conservative window — the shard clock may never
-  // reach window_end, or later cross-shard merges could land in its past.
+  // bit-identical to the slow path's. The jump must also stay strictly
+  // inside the window — the shard clock may never reach window_end, or later
+  // cross-shard merges could land in its past.
   if (fastpath_ && !failed() &&
       (shard.heap.empty() ||
        shard.heap.top().at >
            shard.now_us.load(std::memory_order_relaxed) + dt) &&
-      (!sharded_ ||
-       shard.now_us.load(std::memory_order_relaxed) + dt <
-           shard.window_end.load(std::memory_order_relaxed)) &&
+      shard.now_us.load(std::memory_order_relaxed) + dt <
+          shard.window_end.load(std::memory_order_relaxed) &&
       (options_.max_events == 0 ||
        total_dispatched() < options_.max_events)) {
     record(shard, TraceKind::kAdvance, self.id);
@@ -623,20 +550,17 @@ void Engine::block(const char* reason) {
 void Engine::unblock(int participant) {
   CAF2_REQUIRE(participant >= 0 && participant < size(),
                "unblock(): participant id out of range");
-  if (sharded_) {
-    const int dest = shard_of(participant);
-    if (tls_shard.engine != this || tls_shard.index != dest) {
-      CAF2_REQUIRE(tls_shard.engine == this,
-                   "cross-shard unblock() outside an engine context");
-      // Cross-shard wake: stage into the owner's inbox without peeking at
-      // the target's state (that would race); stale wakes are filtered at
-      // dispatch, exactly like same-shard ones. The timestamp is clamped to
-      // the destination clock at merge time.
-      Shard& src = *shards_[static_cast<std::size_t>(tls_shard.index)];
-      cross_post(dest, src.now_us.load(std::memory_order_relaxed), participant,
-                 InlineFn());
-      return;
-    }
+  CAF2_REQUIRE(shards_.size() == 1 || tls_shard.engine == this,
+               "unblock() outside an engine context on a multi-shard engine");
+  const int dest = shard_of(participant);
+  if (dest != current_shard()) {
+    // Cross-shard wake: stage into the owner's inbox without peeking at the
+    // target's state (that would race); stale wakes are filtered at
+    // dispatch, exactly like same-shard ones. The timestamp is clamped to
+    // the destination clock at merge time.
+    cross_post(dest, calling_shard().now_us.load(std::memory_order_relaxed),
+               participant, InlineFn());
+    return;
   }
   Shard& shard = home_shard(participant);
   Participant& target = *participants_[participant];
@@ -673,41 +597,23 @@ void Engine::post_for_call(int participant, double at, InlineFn fn) {
   CAF2_REQUIRE(static_cast<bool>(fn), "post_for() needs a callable");
   CAF2_REQUIRE(participant >= 0 && participant < size(),
                "post_for(): participant id out of range");
-  if (sharded_) {
-    const int dest = shard_of(participant);
-    if (tls_shard.engine != this || tls_shard.index != dest) {
-      CAF2_REQUIRE(tls_shard.engine == this,
-                   "cross-shard post_for() outside an engine context");
-      Shard& src = *shards_[static_cast<std::size_t>(tls_shard.index)];
-      CAF2_ASSERT(
-          at >= src.now_us.load(std::memory_order_relaxed) + lookahead_ - 1e-9,
-          "cross-shard event violates the conservative lookahead window");
-      cross_post(dest, at, -1, std::move(fn));
-      return;
-    }
+  CAF2_REQUIRE(shards_.size() == 1 || tls_shard.engine == this,
+               "post_for() outside an engine context on a multi-shard engine");
+  const int dest = shard_of(participant);
+  if (dest != current_shard()) {
+    CAF2_ASSERT(at >= calling_shard().now_us.load(std::memory_order_relaxed) +
+                          lookahead_ - 1e-9,
+                "cross-shard event violates the conservative lookahead window");
+    cross_post(dest, at, -1, std::move(fn));
+    return;
   }
   post_call(at, std::move(fn));
 }
 
 void Engine::cross_post(int dest_shard, double at,
                         std::int32_t wake_participant, InlineFn fn) {
-  Shard& src = *shards_[static_cast<std::size_t>(tls_shard.index)];
+  Shard& src = calling_shard();
   Shard& dst = *shards_[static_cast<std::size_t>(dest_shard)];
-  if (adaptive_) {
-    // In-flight horizon clamp (DESIGN.md §4.12). The barrier bound only
-    // covers reaction chains rooted in events already materialized in some
-    // heap; the chain rooted at *this* staging is not, and its earliest
-    // possible return is `at + lookahead` (the destination may dispatch the
-    // event as early as `at`, and anything it creates for us rides at least
-    // one wire latency). The sender therefore caps its own window here —
-    // dispatches so far are at or below the current clock, which is below
-    // the horizon, so the cap never retracts executed time. Same OS thread
-    // as the dispatch loop reading it.
-    const double horizon = at + lookahead_;
-    if (horizon < src.window_end.load(std::memory_order_relaxed)) {
-      src.window_end.store(horizon, std::memory_order_relaxed);
-    }
-  }
   CrossEvent ev;
   ev.at = at;
   // Only the source shard's current token holder (or its dispatcher) stages
@@ -749,11 +655,12 @@ bool Engine::drain_inbox_locked(Shard& shard, std::string& violation) {
     // Clamping wakes to the destination clock keeps every heap entry at or
     // above the clock, which is what makes the global minimum — and with it
     // the window end — monotone (DESIGN.md §4.11). Calls are provably
-    // already in the destination's future — the barrier bound covers chains
-    // rooted in other shards' heaps and the staging-time horizon clamp
-    // covers chains this shard's own sends set off (§4.12) — so the clamp
-    // is a no-op for them; verify that instead of silently time-shifting a
-    // straggler, which would corrupt latency metrics undetectably.
+    // already in the destination's future — they were sent at or above the
+    // window's global minimum and ride at least one lookahead, so they land
+    // at or past the window end the destination clock stayed below — so the
+    // clamp is a no-op for them; verify that instead of silently
+    // time-shifting a straggler, which would corrupt latency metrics
+    // undetectably.
     if (ev.wake_participant < 0 && ev.at < local_now - 1e-9 && ok) {
       std::ostringstream os;
       os << "conservative window violation: cross-shard call from shard "
@@ -820,17 +727,12 @@ bool Engine::advance_window_locked() {
     }
   }
 
-  // Per-shard lower bounds: the earliest pending event of each shard after
-  // the inbox merge (+inf for an empty heap). These are the window inputs
-  // for both lookahead modes and the broadcast the adaptive mode derives
-  // cross-shard windows from.
+  // The earliest pending event over every shard after the inbox merge.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> tops(shards_.size(), kInf);
   double global_min = kInf;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!shards_[s]->heap.empty()) {
-      tops[s] = shards_[s]->heap.top().at;
-      global_min = std::min(global_min, tops[s]);
+  for (const auto& shard : shards_) {
+    if (!shard->heap.empty()) {
+      global_min = std::min(global_min, shard->heap.top().at);
     }
   }
   if (global_min == kInf) {
@@ -848,6 +750,9 @@ bool Engine::advance_window_locked() {
     return false;
   }
   if (options_.watchdog_quiet_us > 0.0) {
+    // Windows span at most the quiet period, so every gap the clock would
+    // jump is visible here: a shard stops at the window end, and its next
+    // event then heads the global minimum.
     double latest = 0.0;
     for (const auto& shard : shards_) {
       latest = std::max(latest, shard->now_us.load(std::memory_order_relaxed));
@@ -864,40 +769,14 @@ bool Engine::advance_window_locked() {
     }
   }
 
+  // Static windows: every shard gets the same end. The merge clamp makes
+  // global_min non-decreasing across windows, so a window end never moves
+  // backwards once shard clocks have entered a window.
   ++windows_;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    double bound;
-    if (!adaptive_) {
-      // Static windows: every shard gets the same end. The merge clamp makes
-      // global_min non-decreasing across windows, so the max() below is
-      // provably a no-op — kept as a defensive invariant: a window end must
-      // never move backwards once shard clocks have entered a window.
-      bound = global_min + lookahead_;
-    } else {
-      // Adaptive windows: shard i is bounded by the earliest event any
-      // *materialized* chain could deliver to it. A chain rooted in shard
-      // j's heap reaches i no earlier than tops[j] + lookahead (>= 1 hop,
-      // and j dispatches nothing before tops[j]); chains rooted in events
-      // shard i itself sends *during* the window are invisible to this
-      // bound — they are capped at staging time by cross_post's horizon
-      // clamp (at + lookahead), which also knocks the stored window end
-      // down so the max() below cannot resurrect a stale value the clamp
-      // retired. All tops are >= global_min, hence the bound never drops
-      // below the static floor; +inf (every other shard empty) lets shard
-      // i drain its whole heap — empty peers root no chains, and any chain
-      // i starts by messaging them re-enters through the clamp.
-      bound = kInf;
-      for (std::size_t j = 0; j < shards_.size(); ++j) {
-        if (j != i && tops[j] + lookahead_ < bound) {
-          bound = tops[j] + lookahead_;
-        }
-      }
-    }
-    const double new_end =
-        std::max(shard.window_end.load(std::memory_order_relaxed), bound);
-    shard.window_end.store(new_end, std::memory_order_relaxed);
-    if (shard.heap.empty() || shard.heap.top().at >= new_end) {
+  const double window_end = global_min + window_span_;
+  for (auto& shard : shards_) {
+    shard->window_end.store(window_end, std::memory_order_relaxed);
+    if (shard->heap.empty() || shard->heap.top().at >= window_end) {
       ++window_stalls_;
     }
   }
@@ -918,7 +797,7 @@ void Engine::fiber_main(int id, const std::function<void(int)>& body) {
   // The shard's scheduler loop takes over dispatching as soon as this entry
   // function returns.
   Shard& shard = home_shard(id);
-  if (error && sharded_) {
+  if (error) {
     fail_pending(obs::FailKind::kImageError,
                  "participant raised an exception", error, false);
   }
@@ -926,13 +805,6 @@ void Engine::fiber_main(int id, const std::function<void(int)>& body) {
   self.active = false;
   ++shard.finished_count;
   record(shard, TraceKind::kFinish, id);
-  if (error && !sharded_) {
-    if (!first_error_) {
-      first_error_ = error;
-    }
-    fail_report_locked(obs::FailKind::kImageError,
-                       "participant raised an exception");
-  }
 }
 
 void Engine::resume_fiber(Participant& target) {
@@ -978,21 +850,14 @@ void Engine::run_shard(Shard& shard, const std::function<void(int)>& body) {
   }
 
   // The scheduler loop: dispatch until a participant is activated, switch
-  // onto its fiber, repeat when it suspends or finishes. A sharded run stops
-  // at the window end and rendezvouses with the other shards to open the
-  // next window.
-  for (;;) {
-    while (shard.finished_count < shard.count && !failed()) {
-      Participant* target = dispatch_chain(shard);
-      if (target == nullptr) {
-        break;  // window exhausted, shard drained, or run failed
-      }
+  // onto its fiber, repeat when it suspends or finishes. The shard stops at
+  // the window end and rendezvouses with the other shards to open the next
+  // window.
+  do {
+    while (Participant* target = dispatch_chain(shard)) {
       resume_fiber(*target);
     }
-    if (!sharded_ || !window_rendezvous()) {
-      break;
-    }
-  }
+  } while (window_rendezvous());
   if (failed()) {
     unwind_live_fibers(shard);
   }
@@ -1006,48 +871,38 @@ void Engine::run(const std::function<void(int)>& body) {
   CAF2_REQUIRE(!running_, "Engine::run() may only be called once");
   running_ = true;
 
+  // The first window opens at t=0, where every participant's initial wake
+  // waits.
+  windows_ = 1;
   for (auto& shard : shards_) {
-    shard->window_end.store(lookahead_, std::memory_order_relaxed);
+    shard->window_end.store(window_span_, std::memory_order_relaxed);
     for (int p = shard->first; p < shard->first + shard->count; ++p) {
       shard->heap.push(Event{0.0, shard->next_seq++, p, kNoSlot});
     }
   }
 
-  if (!sharded_) {
-    run_shard(*shards_[0], body);
-  } else {
-    // The initial window is the static one in both lookahead modes: every
-    // shard's heap holds its participants' t=0 wakes, so the adaptive
-    // derivation would yield exactly `0 + lookahead` anyway.
-    windows_ = 1;
-    quiesced_.store(false, std::memory_order_release);
-    std::vector<std::thread> workers;
-    workers.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      Shard* raw = shard.get();
-      workers.emplace_back([this, raw, &body] { run_shard(*raw, body); });
-    }
-    for (auto& worker : workers) {
-      worker.join();
-    }
-    quiesced_.store(true, std::memory_order_release);
+  // Shard 0 runs here; every other shard gets a worker thread.
+  quiesced_.store(shards_.size() == 1, std::memory_order_release);
+  std::vector<std::thread> workers;
+  workers.reserve(shards_.size() - 1);
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    Shard* raw = shards_[s].get();
+    workers.emplace_back([this, raw, &body] { run_shard(*raw, body); });
   }
+  run_shard(*shards_[0], body);
+  for (auto& worker : workers) {
+    worker.join();
+  }
+  quiesced_.store(true, std::memory_order_release);
 
   if (options_.record_trace) {
-    if (shards_.size() == 1) {
-      trace_ = std::move(shards_[0]->trace);
-      shards_[0]->trace.clear();
-    } else {
-      std::size_t total = 0;
-      for (const auto& shard : shards_) {
-        total += shard->trace.size();
-      }
-      trace_.reserve(total);
-      for (auto& shard : shards_) {
+    for (auto& shard : shards_) {
+      if (trace_.empty()) {
+        trace_ = std::move(shard->trace);
+      } else {
         trace_.insert(trace_.end(), shard->trace.begin(), shard->trace.end());
-        shard->trace.clear();
-        shard->trace.shrink_to_fit();
       }
+      shard->trace = {};
     }
   }
 

@@ -36,51 +36,33 @@
 ///    to the slow path; set CAF2_SIM_NO_FASTPATH=1 (or
 ///    EngineOptions::enable_fastpath = false) to force the slow path.
 ///
-/// --- sharded parallel execution (DESIGN.md §4.11) ---------------------------
+/// --- windows and shards (DESIGN.md §4.11) -----------------------------------
 ///
-/// With EngineOptions::shards > 1 (or CAF2_SIM_SHARDS=N) the engine runs a
-/// conservative parallel discrete-event simulation: participants are
-/// partitioned into contiguous shards, each shard owns its own event heap,
-/// call pool, sequence counter, and clock, and one worker thread per shard
-/// executes that shard's events. Virtual time advances in windows: a
-/// shard may dispatch any event strictly below `window_end = global_min +
-/// lookahead`, where `global_min` is the minimum pending event time across
-/// shards and the lookahead is the network's minimum link latency
-/// (EngineOptions::lookahead_us). Any event one shard creates on another
-/// (a message delivery) carries a timestamp at least `lookahead` in the
-/// future, so it can never land inside the window a destination shard is
-/// already executing — cross-shard events are staged into the destination's
-/// inbox and merged at the next window boundary in the deterministic order
+/// The engine runs a conservative parallel discrete-event simulation for
+/// every shard count. Participants are partitioned into contiguous shards
+/// (EngineOptions::shards or CAF2_SIM_SHARDS); each shard owns its own
+/// event heap, call pool, sequence counter, and clock. Shard 0 runs on the
+/// thread that called run(), and shards 1..n-1 each get one worker thread.
+/// Virtual time advances in windows: a shard may dispatch any event strictly
+/// below `window_end = global_min + span`, where `global_min` is the minimum
+/// pending event time across shards. With more than one shard the span is
+/// the lookahead, the network's minimum link latency
+/// (EngineOptions::lookahead_us): any event one shard creates on another (a
+/// message delivery) carries a timestamp at least `lookahead` in the future,
+/// so it can never land inside the window a destination shard is already
+/// executing — cross-shard events are staged into the destination's inbox
+/// and merged at the next window boundary in the deterministic order
 /// `(time, source shard, per-source counter)`, then re-sequenced into the
-/// destination heap. `shards=1` runs the exact single-shard code path and is
-/// bit-identical to the pre-sharding engine; any fixed shard count is
-/// deterministic across repeats. Sharding requires a
-/// positive lookahead; configurations without one (zero-latency networks)
-/// automatically fall back to one shard. The reliable-delivery protocol and
-/// obs span capture both run sharded (DESIGN.md §4.12).
-///
-/// Window ends are per shard. With EngineOptions::adaptive_lookahead (the
-/// default; CAF2_SIM_ADAPTIVE_LOOKAHEAD=0 forces it off) a shard's window
-/// end has two components. At each barrier it is raised to the other shards'
-/// earliest pending events: `W_i = max(W_i, min_{j != i}(top_j +
-/// lookahead))`, where `top_j` is shard j's earliest pending event time
-/// after the inbox merge (+inf for an empty heap) — sound for every reaction
-/// chain rooted in an event some heap already holds, since such a chain
-/// reaches shard i through at least one wire hop after its root dispatches.
-/// Chains rooted in events shard i *itself* sends during the window are not
-/// visible to any heap top, so cross-shard staging clamps the sender's own
-/// window to the staged timestamp plus one lookahead (`W_i = min(W_i, at +
-/// lookahead)`): the destination can dispatch the staged event no earlier
-/// than `at`, and anything it sends back rides at least one more latency.
-/// The clamp overwrites the stored end, so a later barrier max() restarts
-/// from the fresh bound (which by then sees the chain's materialized
-/// events), never from a retired stale value. Because every `top_j >=
-/// global_min` and a sender's clock is at least its own top, the adaptive
-/// end never drops below the static `global_min + lookahead` floor.
-/// Sparse-communication phases therefore get long windows (fewer barriers,
-/// fewer `window_stalls`). Adaptive and static windows admit different
-/// cross-shard wake clamp points, so the two modes produce different (each
-/// individually deterministic) virtual schedules.
+/// destination heap. A one-shard engine has no peer, so its span is
+/// unbounded and the whole run is one window. When the quiet-period
+/// watchdog is on, every span is capped at watchdog_quiet_us so the barrier
+/// sees every quiet gap. Any fixed shard count is deterministic across
+/// repeats; different shard counts admit different cross-shard wake clamp
+/// points and so produce different (each individually deterministic)
+/// virtual schedules. Sharding requires a positive lookahead; configurations
+/// without one (zero-latency networks) run on one shard. The
+/// reliable-delivery protocol and obs span capture both run sharded
+/// (DESIGN.md §4.12).
 ///
 /// If the heap drains while unfinished participants are blocked, the
 /// simulated program has provably deadlocked; the engine collects a
@@ -92,9 +74,9 @@
 /// A virtual-time quiet-period watchdog (EngineOptions::watchdog_quiet_us)
 /// produces the same postmortem when every unfinished participant is blocked
 /// and the next pending event is suspiciously far in the virtual future
-/// (e.g. a runaway retransmission backoff chain). Sharded runs perform the
-/// deadlock / budget / watchdog checks at window boundaries, where every
-/// shard is quiesced and the global state is consistent.
+/// (e.g. a runaway retransmission backoff chain). The deadlock / budget /
+/// watchdog checks run at window boundaries, where every shard is quiesced
+/// and the global state is consistent.
 
 #include <array>
 #include <atomic>
@@ -131,13 +113,6 @@ class Engine;
 /// empty value counts as unset, likewise below). Exposed for bench metadata
 /// stamps.
 int resolve_shards(int configured);
-
-/// Whether a sharded engine uses adaptive lookahead windows: the environment
-/// variable CAF2_SIM_ADAPTIVE_LOOKAHEAD ("0"/"off" forces static, "1"/"on"
-/// forces adaptive) overrides \p configured; any other value throws
-/// caf2::UsageError. Exposed for bench metadata stamps; meaningless for
-/// unsharded runs.
-bool resolve_adaptive_lookahead(bool configured);
 
 /// Everything that makes the calling context "participant N of engine E".
 /// The scheduler swaps the thread-local instance on every fiber switch, so
@@ -176,7 +151,8 @@ struct EngineOptions {
   /// more than this far beyond the current virtual time, the engine fails
   /// the run with a watchdog report instead of fast-forwarding the clock.
   /// Participants that are merely advancing their clocks (modeled compute)
-  /// hold a scheduled wake and never trip the watchdog.
+  /// hold a scheduled wake and never trip the watchdog. The check runs at
+  /// window boundaries; a positive value caps every window at this span.
   double watchdog_quiet_us = 0.0;
 
   /// Usable stack bytes per participant fiber (rounded up to whole pages; a
@@ -196,12 +172,6 @@ struct EngineOptions {
   /// another. The runtime derives it from the network's minimum link
   /// latency. <= 0 disables sharding (automatic fallback to shards = 1).
   double lookahead_us = 0.0;
-
-  /// Derive each shard's window end from the other shards' earliest pending
-  /// events at the barrier instead of the global static minimum (see the
-  /// file comment). Static lookahead remains the floor; the environment
-  /// variable CAF2_SIM_ADAPTIVE_LOOKAHEAD={0,off,1,on} overrides this.
-  bool adaptive_lookahead = true;
 };
 
 class Engine {
@@ -233,9 +203,9 @@ class Engine {
   /// so their per-image state follows the participant across fiber switches.
   static void*& context_slot(int index);
 
-  /// Current virtual time in microseconds. In a sharded run this is the
-  /// calling context's shard clock; from outside any engine context it is
-  /// the maximum over all shard clocks.
+  /// Current virtual time in microseconds: the calling context's shard
+  /// clock; from outside any engine context the maximum over all shard
+  /// clocks.
   double now() const;
 
   /// Model local computation: advance virtual time by \p dt microseconds and
@@ -275,7 +245,7 @@ class Engine {
   }
 
   /// Schedule a callback on the shard that owns \p participant. Same-shard
-  /// (and unsharded) calls are exactly post(); cross-shard calls stage the
+  /// calls are exactly post(); cross-shard calls stage the
   /// event into the owning shard's inbox for the next window merge and
   /// require `at >= now() + lookahead_us` (the conservative-window
   /// contract; the network's wire latency provides it).
@@ -303,9 +273,9 @@ class Engine {
   /// a participant or an engine callback; the reliability layer uses
   /// the two-argument form when a message exhausts its retransmission
   /// budget. The one-argument form tags the postmortem
-  /// obs::FailKind::kExplicitFail. In a sharded run the failure is recorded
-  /// immediately but the postmortem is collected at the next window
-  /// boundary, where every shard is quiesced.
+  /// obs::FailKind::kExplicitFail. The failure is recorded immediately; the
+  /// postmortem is collected at the next window boundary, where every shard
+  /// is quiesced.
   void fail(const std::string& why);
   void fail(const std::string& why, obs::FailKind kind);
 
@@ -321,10 +291,10 @@ class Engine {
 
   /// Collect a Postmortem of the current (healthy or stalled) state, tagged
   /// obs::FailKind::kOnDemand. Callable from a participant context or from
-  /// outside the run. During a *sharded* run other shards execute
+  /// outside the run. During a multi-shard run other shards execute
   /// concurrently, so the snapshot contains only the engine-level counters
   /// (no per-participant detail, no collector sections); a quiesced engine
-  /// (shards=1, or between runs) produces the full report.
+  /// (one shard, or between runs) produces the full report.
   obs::Postmortem snapshot_postmortem(const std::string& headline);
 
   /// The postmortem collected by the first failure, or null if the run has
@@ -348,9 +318,8 @@ class Engine {
   std::uint64_t context_switch_count() const;
 
   /// Recorded trace (empty unless EngineOptions::record_trace). Populated
-  /// when run() returns; in a sharded run it is the concatenation of the
-  /// per-shard traces in shard order (deterministic for a fixed shard
-  /// count).
+  /// when run() returns as the concatenation of the per-shard traces in
+  /// shard order (deterministic for a fixed shard count).
   const std::vector<TraceEntry>& trace() const { return trace_; }
 
   /// Trace entries discarded by EngineOptions::max_trace_entries.
@@ -361,26 +330,20 @@ class Engine {
   /// Resolved number of shards (>= 1; clamped and fallback-applied).
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
-  /// True when this engine runs more than one shard.
-  bool sharded() const { return shards_.size() > 1; }
-
   /// Shard owning \p participant.
   int shard_of(int participant) const {
     return shard_index_[static_cast<std::size_t>(participant)];
   }
 
-  /// The calling context's shard, or -1 outside any engine context.
+  /// The calling context's shard; shard 0 outside any engine context (before
+  /// or after the run, when every shard is quiesced).
   int current_shard() const;
 
-  /// Conservative lookahead window (0 when unsharded).
+  /// Conservative lookahead window (0 for one shard).
   double lookahead_us() const { return lookahead_; }
 
-  /// True when this (sharded) engine derives window ends adaptively from
-  /// per-shard lower bounds; false for static windows and unsharded runs.
-  bool adaptive_lookahead() const { return adaptive_; }
-
-  /// Window advances performed so far (1 for the initial window; always 0
-  /// for an unsharded run, which has no windows).
+  /// Window advances performed so far (1 for the initial window; a
+  /// one-shard run without a watchdog is a single window).
   std::uint64_t window_count() const;
 
   /// Shard-windows in which a shard had no executable event (its next event
@@ -445,11 +408,8 @@ class Engine {
     InlineFn fn;
   };
 
-  /// Per-shard scheduler state. With shards=1 the single instance holds
-  /// exactly the fields the pre-sharding engine kept globally, and every
-  /// code path touches them through shard 0 — which is what keeps the
-  /// single-shard schedule bit-identical. The inbox is the only member other
-  /// shards may touch, always under inbox_mutex.
+  /// Per-shard scheduler state. The inbox is the only member other shards may
+  /// touch, always under inbox_mutex.
   struct Shard {
     int index = 0;
     int first = 0;  ///< first participant id; shard spans [first, first+count)
@@ -478,7 +438,7 @@ class Engine {
     std::vector<TraceEntry> trace;
     std::uint64_t trace_dropped = 0;
 
-    // Cross-shard staging (multi-shard runs only).
+    // Cross-shard staging.
     std::mutex inbox_mutex;
     std::vector<CrossEvent> inbox;
     std::uint64_t cross_order = 0;  ///< next CrossEvent stamp (source side)
@@ -489,16 +449,16 @@ class Engine {
   }
 
   /// The shard of the calling context; shard 0 from outside any engine
-  /// context (which only happens unsharded, or before the run starts).
+  /// context (before or after the run).
   Shard& calling_shard();
 
   bool failed() const { return failed_.load(std::memory_order_acquire); }
 
   /// One shard's scheduler loop: create its participants' fibers, dispatch
-  /// and resume them until every one finished or the run failed (window by
-  /// window through the barrier protocol when sharded), then unwind and
-  /// release them. Runs on the thread that called run() when unsharded, else
-  /// on the shard's worker thread.
+  /// and resume them window by window through the barrier protocol until
+  /// every one finished or the run failed, then unwind and release them.
+  /// Shard 0 runs on the thread that called run(), every other shard on its
+  /// own worker thread.
   void run_shard(Shard& shard, const std::function<void(int)>& body);
 
   /// Arrive at the window barrier; the last arriver merges inboxes and opens
@@ -522,9 +482,9 @@ class Engine {
   /// participant to unwind (shutdown_ready_).
   void finish_failure_locked();
 
-  /// Record a failure without collecting the postmortem (sharded mode: the
-  /// collection happens at the window barrier where every shard is
-  /// quiesced). First failure wins.
+  /// Record a failure without collecting the postmortem (the collection
+  /// happens at the window barrier where every shard is quiesced). First
+  /// failure wins.
   void fail_pending(obs::FailKind kind, const std::string& headline,
                     std::exception_ptr participant_error, bool callback_error);
 
@@ -547,9 +507,9 @@ class Engine {
   void switch_out(Participant& self);
 
   /// Pop and dispatch \p shard's events until a participant is activated,
-  /// the shard drains, or (sharded) the window is exhausted. Returns the
-  /// activated participant, or nullptr. A callback that throws fails the
-  /// run instead of propagating.
+  /// the shard drains, or the window is exhausted. Returns the activated
+  /// participant, or nullptr. A callback that throws fails the run instead
+  /// of propagating.
   Participant* dispatch_chain(Shard& shard);
 
   void post_call(double at, InlineFn fn);
@@ -564,25 +524,17 @@ class Engine {
 
   std::uint64_t total_dispatched() const;
 
-  /// Compose the failure text for a throwing engine callback (shared by the
-  /// sharded and unsharded paths so the message stays identical).
+  /// Compose the failure text for a throwing engine callback.
   static std::string describe_callback_error(const std::exception_ptr& error);
-
-  void fail_locked(const std::string& why);
 
   /// Collect the structured postmortem: engine-owned fields (participant
   /// states, event counts) plus whatever the postmortem collector
   /// contributes. Exceptions from the collector are swallowed into
   /// Postmortem::collector_error — a report must never abort the failing run
-  /// it is reporting on. Requires the engine to be quiesced (unsharded, or
+  /// it is reporting on. Requires the engine to be quiesced (one shard, or
   /// every shard parked at the window barrier).
   std::shared_ptr<const obs::Postmortem> build_postmortem_locked(
       obs::FailKind kind, const std::string& headline);
-
-  /// Fail the run with a freshly collected postmortem (no-op when already
-  /// failed — the first postmortem wins). failure_reason_ becomes the
-  /// postmortem's text rendering. Single-shard only.
-  void fail_report_locked(obs::FailKind kind, const std::string& headline);
 
   /// Throw the failure as an obs::StallError carrying last_postmortem_.
   [[noreturn]] void throw_failure() const;
@@ -599,9 +551,10 @@ class Engine {
   std::vector<std::unique_ptr<Participant>> participants_;
   EngineOptions options_;
   bool fastpath_ = true;
-  bool sharded_ = false;
-  bool adaptive_ = false;  ///< resolved adaptive-lookahead mode (sharded only)
   double lookahead_ = 0.0;
+  /// Width of every window past the global minimum: the lookahead, or
+  /// unbounded for one shard, capped at the watchdog quiet period.
+  double window_span_ = 0.0;
   PostmortemCollector collector_;
   std::shared_ptr<const obs::Postmortem> last_postmortem_;
 
@@ -609,9 +562,11 @@ class Engine {
   std::string failure_reason_;
   std::exception_ptr first_error_;
   bool running_ = false;
-  std::atomic<bool> quiesced_{true};  ///< false while shard workers run
+  /// False while more than one shard executes: snapshot_postmortem may then
+  /// not read per-participant state.
+  std::atomic<bool> quiesced_{true};
 
-  // Window-barrier state (multi-shard runs only). sync_mutex_ orders every
+  // Window-barrier state. sync_mutex_ orders every
   // barrier handoff, which is what lets the last arriver read and mutate
   // every shard's state race-free.
   std::mutex sync_mutex_;
@@ -622,8 +577,8 @@ class Engine {
   std::uint64_t windows_ = 0;
   std::uint64_t window_stalls_ = 0;
 
-  // Failure staging for sharded runs: the postmortem is built later, at the
-  // barrier, so the failing context only records what happened here.
+  // Failure staging: the postmortem is built later, at the barrier, so the
+  // failing context only records what happened here.
   std::mutex fail_mutex_;
   obs::FailKind pending_fail_kind_{};
   std::string pending_fail_headline_;

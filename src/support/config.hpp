@@ -250,24 +250,13 @@ struct RuntimeOptions {
   /// Number of engine shards: worker threads executing the conservative
   /// parallel-DES scheme of DESIGN.md §4.11. <= 0 means "resolve from the
   /// environment": CAF2_SIM_SHARDS when set, one shard otherwise; an
-  /// explicit value >= 1 always wins over the environment. shards=1 is
-  /// bit-identical to the unsharded engine, and any fixed shard count is
-  /// deterministic run to run. The runtime derives the conservative
+  /// explicit value >= 1 always wins over the environment. Any fixed shard
+  /// count is deterministic run to run. The runtime derives the conservative
   /// lookahead from the network's wire latency; reliable delivery, fault
   /// plans, and obs span capture all run sharded (per-shard protocol cells
   /// and recorder net lanes, DESIGN.md §4.12). Only a zero-latency network
   /// leaves no positive lookahead and falls back to a single shard.
   int shards = 0;
-
-  /// Let a sharded engine widen each shard's conservative window from the
-  /// other shards' next-event lower bounds at every barrier (DESIGN.md
-  /// §4.12) instead of pinning every window to the global minimum plus the
-  /// static lookahead. The static window remains the floor. Ignored on
-  /// serial engines; both modes are deterministic for a fixed shard count,
-  /// but they produce different (equally valid) virtual schedules. The
-  /// environment variable CAF2_SIM_ADAPTIVE_LOOKAHEAD={0,off,1,on}
-  /// overrides this.
-  bool adaptive_lookahead = true;
 
   /// Virtual-time watchdog quiet period (microseconds). When > 0 and every
   /// unfinished image is blocked while the next pending event is more than

@@ -1,9 +1,9 @@
 /// Sharded parallel-DES engine (DESIGN.md §4.11, §4.12) through the full
-/// runtime: shards=1 bit-identity with the serial engine, fixed-shard-count
-/// determinism across repeats, cross-shard asynchronous
-/// constructs at paper scale, cross-shard deadlock postmortems, fault plans
-/// and obs span capture under sharding, adaptive lookahead windows, and the
-/// remaining zero-lookahead fallback to the serial engine.
+/// runtime: determinism per shard count and identical results across shard
+/// counts, cross-shard asynchronous constructs at paper scale, cross-shard
+/// deadlock and watchdog postmortems, fault plans and obs span capture
+/// under sharding, conservative windows, and the remaining zero-lookahead
+/// fallback to one shard.
 
 #include <gtest/gtest.h>
 
@@ -39,24 +39,39 @@ RuntimeOptions shard_options(int images, int shards, std::uint64_t seed) {
   return options;
 }
 
+constexpr int kMixedRounds = 5;
+
 /// Mixed workload with plenty of cross-image (and, when sharded,
 /// cross-shard) traffic: asynchronous copies under a finish, a cofence per
-/// round, an allreduce, and barriers.
-void mixed_workload() {
+/// round, an allreduce, and barriers. Round r writes the sender's rank into
+/// slot r of its r-th successor; the last slot holds the allreduce. Returns
+/// the calling image's slots.
+std::vector<long> mixed_workload_slots() {
   Team world = team_world();
-  Coarray<long> counter(world, 1);
-  counter[0] = 0;
+  Coarray<long> slots(world, kMixedRounds + 1);
+  for (int i = 0; i <= kMixedRounds; ++i) {
+    slots[i] = -1;
+  }
   team_barrier(world);
-  const std::vector<long> payload{1};
+  const std::vector<long> payload{world.rank()};
   finish(world, [&] {
-    for (int round = 0; round < 5; ++round) {
-      copy_async(counter((world.rank() + round) % world.size()).subslice(0, 1),
-                 std::span<const long>(payload));
+    for (int round = 0; round < kMixedRounds; ++round) {
+      copy_async(
+          slots((world.rank() + round) % world.size()).subslice(round, 1),
+          std::span<const long>(payload));
       cofence();
     }
   });
+  slots[kMixedRounds] = allreduce<long>(world, world.rank(), RedOp::kSum);
   team_barrier(world);
+  std::vector<long> out;
+  for (int i = 0; i <= kMixedRounds; ++i) {
+    out.push_back(slots[i]);
+  }
+  return out;
 }
+
+void mixed_workload() { mixed_workload_slots(); }
 
 struct Fingerprint {
   std::string trace;
@@ -94,7 +109,7 @@ Fingerprint fingerprint_run(const RuntimeOptions& options,
   return fp;
 }
 
-/// --- shards=1: the serial engine, bit for bit -------------------------------
+/// --- shards=1: one unbounded window, bit for bit -----------------------------
 
 TEST(Shards, SerialEngineIsBitIdenticalAcrossRepeats) {
   const Fingerprint a = fingerprint_run(shard_options(3, 1, 7), mixed_workload);
@@ -103,10 +118,10 @@ TEST(Shards, SerialEngineIsBitIdenticalAcrossRepeats) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
   EXPECT_EQ(a.image0_us, b.image0_us);
-  // shards=1 reports the serial engine's stats shape: no windows, one
+  // shards=1 runs the whole program in one unbounded window, with one
   // per-shard bucket holding every event.
   EXPECT_EQ(a.shards, 1);
-  EXPECT_EQ(a.windows, 0u);
+  EXPECT_EQ(a.windows, 1u);
   ASSERT_EQ(a.shard_events.size(), 1u);
   EXPECT_EQ(a.shard_events[0], a.events);
 }
@@ -143,6 +158,29 @@ TEST(Shards, FixedCountIsDeterministicAcrossRepeats) {
     EXPECT_EQ(a.shard_events, b.shard_events) << "shards=" << shards;
     EXPECT_GT(a.windows, 0u) << "shards=" << shards;
   }
+}
+
+/// --- every shard count: the same results ------------------------------------
+
+TEST(Shards, MixedWorkloadContentsMatchAcrossShardCounts) {
+  const int images = 8;
+  auto contents_at = [](int shards) {
+    std::vector<std::vector<long>> per_image(images);
+    run(shard_options(images, shards, 23),
+        [&] { per_image[this_image()] = mixed_workload_slots(); });
+    return per_image;
+  };
+  const std::vector<std::vector<long>> one = contents_at(1);
+  for (int rank = 0; rank < images; ++rank) {
+    ASSERT_EQ(one[rank].size(), static_cast<std::size_t>(kMixedRounds + 1));
+    for (int round = 0; round < kMixedRounds; ++round) {
+      EXPECT_EQ(one[rank][round], (rank - round + images) % images)
+          << "image " << rank << " round " << round;
+    }
+    EXPECT_EQ(one[rank][kMixedRounds], images * (images - 1) / 2);
+  }
+  EXPECT_EQ(contents_at(2), one);
+  EXPECT_EQ(contents_at(4), one);
 }
 
 /// --- cross-shard constructs at paper scale ----------------------------------
@@ -233,6 +271,39 @@ std::string stalled_postmortem_text(const RuntimeOptions& options) {
   }
   ADD_FAILURE() << "expected obs::StallError";
   return {};
+}
+
+TEST(Shards, QuietPeriodWatchdogFiresAtWindowBoundariesOnEveryShardCount) {
+  // The Postmortem.SlowNetworkQuietPeriodIsAStallNotACycle pattern: every
+  // image blocks in a barrier whose messages are far beyond the quiet
+  // period. Windows are capped at the quiet period on every shard count, so
+  // the barrier-time check catches the gap on one shard and on two alike.
+  std::string headline;
+  for (const int shards : {1, 2}) {
+    RuntimeOptions options = shard_options(2, shards, 19);
+    options.net.latency_us = 5'000'000.0;
+    options.net.jitter_us = 0.0;
+    options.watchdog_quiet_us = 1'000.0;
+    options.record_trace = false;
+    try {
+      run(options, [] { team_barrier(team_world()); });
+      ADD_FAILURE() << "expected obs::StallError, shards=" << shards;
+      continue;
+    } catch (const obs::StallError& error) {
+      ASSERT_NE(error.postmortem(), nullptr) << "shards=" << shards;
+      const obs::Postmortem& pm = *error.postmortem();
+      EXPECT_EQ(pm.kind, obs::FailKind::kQuietWatchdog) << "shards=" << shards;
+      const std::string prefix =
+          pm.headline.substr(0, pm.headline.find(" (next event"));
+      EXPECT_EQ(prefix.rfind("watchdog: every image is blocked", 0), 0u)
+          << pm.headline;
+      if (headline.empty()) {
+        headline = prefix;
+      } else {
+        EXPECT_EQ(prefix, headline) << "shards=" << shards;
+      }
+    }
+  }
 }
 
 TEST(Shards, CrossShardDeadlockProducesDeterministicPostmortem) {
@@ -335,43 +406,31 @@ TEST(Shards, ObsCaptureDoesNotPerturbShardedSchedules) {
   EXPECT_EQ(a.end_us, b.end_us);
 }
 
-/// --- adaptive lookahead windows (DESIGN.md §4.12) ---------------------------
+/// --- conservative windows (DESIGN.md §4.11) ---------------------------------
 
-TEST(Shards, AdaptiveLookaheadIsDefaultDeterministicAndReported) {
+TEST(Shards, WindowsAreDeterministicAndReported) {
   const RuntimeOptions options = shard_options(8, 4, 43);
   const Fingerprint a = fingerprint_run(options, mixed_workload);
   const Fingerprint b = fingerprint_run(options, mixed_workload);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
-  const RunStats stats = run_stats(options, mixed_workload);
-  EXPECT_EQ(stats.lookahead_mode, "adaptive");
-  const RunStats serial = run_stats(shard_options(8, 1, 43), mixed_workload);
-  EXPECT_EQ(serial.lookahead_mode, "serial");
-}
-
-TEST(Shards, StaticLookaheadStillAvailableAndDeterministic) {
-  RuntimeOptions options = shard_options(8, 4, 47);
-  options.adaptive_lookahead = false;
-  const Fingerprint a = fingerprint_run(options, mixed_workload);
-  const Fingerprint b = fingerprint_run(options, mixed_workload);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.end_us, b.end_us);
+  EXPECT_EQ(a.windows, b.windows);
   const RunStats stats = run_stats(options, mixed_workload);
   EXPECT_EQ(stats.shards, 4);
   EXPECT_EQ(stats.lookahead_mode, "static");
+  const RunStats serial = run_stats(shard_options(8, 1, 43), mixed_workload);
+  EXPECT_EQ(serial.lookahead_mode, "serial");
 }
 
 /// Ping-pong reaction chain rooted in a window-interior send. Images 0,1
 /// land on shard 0 and images 2,3 on shard 1 (contiguous partition). Image
 /// 3's long compute parks shard 1's earliest materialized event at t=2000,
-/// so the barrier bound alone would grant shard 0 a window ending near
-/// 2004 — far past the ~20 us round trip of the ping image 0 launches at
-/// t=10. Without the staging-time horizon clamp, shard 0 burns through its
-/// 1000 unit computes inside that stale window and the pong merges into its
-/// past (now a detected conservative-window violation); with the clamp,
-/// shard 0 stops at ping + lookahead and the pong lands in its future.
+/// far past the ~20 us round trip of the ping image 0 launches at t=10. A
+/// window that reached toward that far-off event would let shard 0 burn
+/// through its 1000 unit computes and merge the pong into its past (a
+/// detected conservative-window violation); the static window stops shard 0
+/// one lookahead past the global minimum, so the pong lands in its future.
 void reaction_chain_workload() {
   Team world = team_world();
   CoEvent ev(world);
@@ -396,7 +455,7 @@ void reaction_chain_workload() {
   }
 }
 
-TEST(Shards, AdaptiveWindowsStayConservativeForReactionChains) {
+TEST(Shards, WindowsStayConservativeForReactionChains) {
   const RuntimeOptions options = shard_options(4, 2, 61);
   const Fingerprint a = fingerprint_run(options, reaction_chain_workload);
   const Fingerprint b = fingerprint_run(options, reaction_chain_workload);
@@ -405,8 +464,6 @@ TEST(Shards, AdaptiveWindowsStayConservativeForReactionChains) {
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.end_us, b.end_us);
-  const RunStats stats = run_stats(options, reaction_chain_workload);
-  EXPECT_EQ(stats.lookahead_mode, "adaptive");
 
   // The pong is the only message delivered to image 0; its recorded latency
   // proves the delivery was not time-shifted to image 0's t=1010 wait (the
@@ -420,20 +477,7 @@ TEST(Shards, AdaptiveWindowsStayConservativeForReactionChains) {
   EXPECT_LT(latency.sum_us / static_cast<double>(latency.count), 50.0);
 }
 
-TEST(Shards, AdaptiveLookaheadEnvOverrideWins) {
-  char* prior = std::getenv("CAF2_SIM_ADAPTIVE_LOOKAHEAD");
-  const std::string saved = prior != nullptr ? prior : "";
-  ::setenv("CAF2_SIM_ADAPTIVE_LOOKAHEAD", "0", 1);
-  const RunStats stats = run_stats(shard_options(8, 4, 49), mixed_workload);
-  EXPECT_EQ(stats.lookahead_mode, "static");
-  if (prior != nullptr) {
-    ::setenv("CAF2_SIM_ADAPTIVE_LOOKAHEAD", saved.c_str(), 1);
-  } else {
-    ::unsetenv("CAF2_SIM_ADAPTIVE_LOOKAHEAD");
-  }
-}
-
-/// --- the remaining fallback to the serial engine ----------------------------
+/// --- the remaining fallback to one shard ----------------------------
 
 TEST(Shards, InstantNetworkFallsBackToSerial) {
   // Zero wire latency gives the conservative engine no lookahead window to

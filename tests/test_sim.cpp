@@ -215,6 +215,21 @@ TEST(Engine, BlockOutsideParticipantRejected) {
   engine.run([](int) {});
 }
 
+TEST(Engine, OutsideContextCallsRejectedOnMultiShardEngine) {
+  EngineOptions options;
+  options.shards = 2;
+  options.lookahead_us = 1.0;
+  Engine engine(4, options);
+  ASSERT_EQ(engine.shard_count(), 2);
+  // Participant 0 lives on shard 0, participant 3 on shard 1: both are
+  // rejected, whichever shard the target is on.
+  for (int participant : {0, 3}) {
+    EXPECT_THROW(engine.unblock(participant), caf2::UsageError);
+    EXPECT_THROW(engine.post_for(participant, 5.0, [] {}), caf2::UsageError);
+  }
+  engine.run([](int) {});
+}
+
 TEST(Engine, CurrentContextHelpers) {
   EXPECT_FALSE(on_participant_thread());
   Engine engine(2);
@@ -305,29 +320,6 @@ TEST(EngineEnv, NoFastpathParsedStrictly) {
     ScopedEnv env("CAF2_SIM_NO_FASTPATH", disable);
     EXPECT_FALSE(Engine(1).fastpath_enabled()) << "value '" << disable << "'";
   }
-}
-
-TEST(EngineEnv, AdaptiveLookaheadParsedStrictly) {
-  for (const char* bad : {"yes", "2", "OFF"}) {
-    ScopedEnv env("CAF2_SIM_ADAPTIVE_LOOKAHEAD", bad);
-    const std::string message =
-        usage_error([] { resolve_adaptive_lookahead(true); });
-    EXPECT_NE(message.find(std::string("CAF2_SIM_ADAPTIVE_LOOKAHEAD='") +
-                           bad + "'"),
-              std::string::npos)
-        << "value '" << bad << "': " << message;
-  }
-  for (const char* off : {"0", "off"}) {
-    ScopedEnv env("CAF2_SIM_ADAPTIVE_LOOKAHEAD", off);
-    EXPECT_FALSE(resolve_adaptive_lookahead(true));
-  }
-  for (const char* on : {"1", "on"}) {
-    ScopedEnv env("CAF2_SIM_ADAPTIVE_LOOKAHEAD", on);
-    EXPECT_TRUE(resolve_adaptive_lookahead(false));
-  }
-  ScopedEnv empty("CAF2_SIM_ADAPTIVE_LOOKAHEAD", "");
-  EXPECT_TRUE(resolve_adaptive_lookahead(true));
-  EXPECT_FALSE(resolve_adaptive_lookahead(false));
 }
 
 }  // namespace
