@@ -1,12 +1,16 @@
 #include "ops/coll_algo.hpp"
 
+#include <array>
 #include <bit>
 #include <cctype>
 #include <fstream>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <sstream>
 
 #include "obs/obs.hpp"
+#include "ops/coll_detail.hpp"
 #include "support/error.hpp"
 
 namespace caf2 {
@@ -33,89 +37,127 @@ const char* to_string(CollAlgorithm algorithm) {
 
 namespace ops {
 
-const char* to_string(CollKind kind) {
-  switch (kind) {
-    case CollKind::kBarrier:
-      return "barrier";
-    case CollKind::kBroadcast:
-      return "broadcast";
-    case CollKind::kReduce:
-      return "reduce";
-    case CollKind::kAllreduce:
-      return "allreduce";
-    case CollKind::kGather:
-      return "gather";
-    case CollKind::kScatter:
-      return "scatter";
-    case CollKind::kAlltoall:
-      return "alltoall";
-    case CollKind::kScan:
-      return "scan";
-    case CollKind::kSort:
-      return "sort";
-    case CollKind::kAllgather:
-      return "allgather";
-    case CollKind::kReduceScatter:
-      return "reduce_scatter";
-    case CollKind::kGatherv:
-      return "gatherv";
-    case CollKind::kScatterv:
-      return "scatterv";
-    case CollKind::kAlltoallv:
-      return "alltoallv";
+/// --- the (kind, schedule) pairing table --------------------------------------
+
+namespace detail {
+namespace {
+
+/// Which members of the team touch their initiator-local data.
+enum class Access : std::uint8_t { kNone, kRoot, kNonRoot, kAll };
+
+struct Schedule {
+  CollAlgorithm algorithm = CollAlgorithm::kAuto;  ///< kAuto: unused slot
+  CollFactory make = nullptr;
+};
+
+/// One row per collective kind, in CollKind order: its name, its cofence
+/// classification (does the operation read / write initiator-local data?),
+/// and its schedules with the pattern that runs each. The default (legacy)
+/// schedule comes first, so untuned runs keep their historical traces.
+struct KindRow {
+  CollKind kind;
+  const char* name;
+  Access reads;
+  Access writes;
+  std::array<Schedule, 3> schedules;
+};
+
+using A = CollAlgorithm;
+using K = CollKind;
+using enum Access;
+
+constexpr KindRow kKinds[] = {
+    {K::kBarrier, "barrier", kNone, kNone,
+     {{{A::kDissemination, make_dissemination_barrier},
+       {A::kBinomialTree, make_tree}}}},
+    {K::kBroadcast, "broadcast", kRoot, kNonRoot,
+     {{{A::kBinomialTree, make_tree},
+       {A::kKnomialTree, make_tree},
+       {A::kRing, make_tree}}}},
+    {K::kReduce, "reduce", kAll, kRoot,
+     {{{A::kBinomialTree, make_tree}, {A::kKnomialTree, make_tree}}}},
+    {K::kAllreduce, "allreduce", kAll, kAll,
+     {{{A::kBinomialTree, make_tree},
+       {A::kRing, make_ring},
+       {A::kRecursiveDoubling, make_rd_allreduce}}}},
+    {K::kGather, "gather", kAll, kRoot,
+     {{{A::kBinomialTree, make_binomial_gather}, {A::kDirect, make_direct}}}},
+    {K::kScatter, "scatter", kRoot, kAll,
+     {{{A::kBinomialTree, make_binomial_scatter},
+       {A::kDirect, make_direct}}}},
+    {K::kAlltoall, "alltoall", kAll, kAll, {{{A::kDirect, make_direct}}}},
+    // Hillis-Steele is the recursive-doubling schedule.
+    {K::kScan, "scan", kAll, kAll, {{{A::kRecursiveDoubling, make_scan}}}},
+    // Sample sort's splitter exchange is direct pairwise.
+    {K::kSort, "sort", kAll, kAll, {{{A::kDirect, make_sort}}}},
+    {K::kAllgather, "allgather", kAll, kAll,
+     {{{A::kRing, make_ring},
+       {A::kRecursiveDoubling, make_rd_allgather},
+       {A::kDirect, make_direct}}}},
+    {K::kReduceScatter, "reduce_scatter", kAll, kAll,
+     {{{A::kRing, make_ring}, {A::kDirect, make_direct}}}},
+    {K::kGatherv, "gatherv", kAll, kRoot, {{{A::kDirect, make_direct}}}},
+    {K::kScatterv, "scatterv", kRoot, kAll, {{{A::kDirect, make_direct}}}},
+    {K::kAlltoallv, "alltoallv", kAll, kAll, {{{A::kDirect, make_direct}}}},
+};
+
+constexpr bool rows_follow_kind_order() {
+  for (std::size_t i = 0; i < std::size(kKinds); ++i) {
+    if (static_cast<std::size_t>(kKinds[i].kind) != i) {
+      return false;
+    }
   }
-  return "?";
+  return true;
+}
+static_assert(rows_follow_kind_order(), "kKinds must list CollKind in order");
+
+const KindRow& row(CollKind kind) {
+  const auto index = static_cast<std::size_t>(kind);
+  CAF2_REQUIRE(index < std::size(kKinds), "unknown collective kind");
+  return kKinds[index];
+}
+
+}  // namespace
+
+CollFactory find_factory(CollKind kind, CollAlgorithm algorithm) {
+  for (const Schedule& schedule : row(kind).schedules) {
+    if (schedule.algorithm == algorithm) {
+      return schedule.make;  // nullptr for kAuto on an unused slot
+    }
+  }
+  return nullptr;
+}
+
+void classify(const CollDesc& desc, bool& reads, bool& writes) {
+  const Access mine = desc.team.rank() == desc.root ? kRoot : kNonRoot;
+  const KindRow& kind = row(desc.kind);
+  reads = kind.reads == kAll || kind.reads == mine;
+  writes = kind.writes == kAll || kind.writes == mine;
+}
+
+}  // namespace detail
+
+const char* to_string(CollKind kind) {
+  const auto index = static_cast<std::size_t>(kind);
+  return index < std::size(detail::kKinds) ? detail::kKinds[index].name : "?";
 }
 
 std::vector<CollAlgorithm> supported_algorithms(CollKind kind) {
-  // Default (legacy) schedule first — default_algorithm() relies on it.
-  switch (kind) {
-    case CollKind::kBarrier:
-      return {CollAlgorithm::kDissemination, CollAlgorithm::kBinomialTree};
-    case CollKind::kBroadcast:
-      return {CollAlgorithm::kBinomialTree, CollAlgorithm::kKnomialTree,
-              CollAlgorithm::kRing};
-    case CollKind::kReduce:
-      return {CollAlgorithm::kBinomialTree, CollAlgorithm::kKnomialTree};
-    case CollKind::kAllreduce:
-      return {CollAlgorithm::kBinomialTree, CollAlgorithm::kRing,
-              CollAlgorithm::kRecursiveDoubling};
-    case CollKind::kGather:
-      return {CollAlgorithm::kBinomialTree, CollAlgorithm::kDirect};
-    case CollKind::kScatter:
-      return {CollAlgorithm::kBinomialTree, CollAlgorithm::kDirect};
-    case CollKind::kAlltoall:
-      return {CollAlgorithm::kDirect};
-    case CollKind::kScan:
-      // Hillis-Steele is the recursive-doubling schedule.
-      return {CollAlgorithm::kRecursiveDoubling};
-    case CollKind::kSort:
-      // Sample sort's splitter exchange is direct pairwise.
-      return {CollAlgorithm::kDirect};
-    case CollKind::kAllgather:
-      return {CollAlgorithm::kRing, CollAlgorithm::kRecursiveDoubling,
-              CollAlgorithm::kDirect};
-    case CollKind::kReduceScatter:
-      return {CollAlgorithm::kRing, CollAlgorithm::kDirect};
-    case CollKind::kGatherv:
-    case CollKind::kScatterv:
-    case CollKind::kAlltoallv:
-      return {CollAlgorithm::kDirect};
+  std::vector<CollAlgorithm> out;
+  for (const detail::Schedule& schedule : detail::row(kind).schedules) {
+    if (schedule.algorithm != CollAlgorithm::kAuto) {
+      out.push_back(schedule.algorithm);
+    }
   }
-  throw UsageError("unknown collective kind");
+  return out;
 }
 
 CollAlgorithm default_algorithm(CollKind kind) {
-  return supported_algorithms(kind).front();
+  return detail::row(kind).schedules.front().algorithm;
 }
 
 bool algorithm_supported(CollKind kind, CollAlgorithm algorithm) {
-  for (const CollAlgorithm candidate : supported_algorithms(kind)) {
-    if (candidate == algorithm) {
-      return true;
-    }
-  }
-  return false;
+  return detail::find_factory(kind, algorithm) != nullptr;
 }
 
 bool parse_algorithm(std::string_view name, CollAlgorithm& out) {
@@ -133,14 +175,9 @@ bool parse_algorithm(std::string_view name, CollAlgorithm& out) {
 }
 
 bool parse_coll_kind(std::string_view name, CollKind& out) {
-  for (const CollKind k :
-       {CollKind::kBarrier, CollKind::kBroadcast, CollKind::kReduce,
-        CollKind::kAllreduce, CollKind::kGather, CollKind::kScatter,
-        CollKind::kAlltoall, CollKind::kScan, CollKind::kSort,
-        CollKind::kAllgather, CollKind::kReduceScatter, CollKind::kGatherv,
-        CollKind::kScatterv, CollKind::kAlltoallv}) {
-    if (name == to_string(k)) {
-      out = k;
+  for (const detail::KindRow& row : detail::kKinds) {
+    if (name == row.name) {
+      out = row.kind;
       return true;
     }
   }
@@ -222,7 +259,7 @@ class TableScanner {
  public:
   explicit TableScanner(const std::string& text) : text_(text) {}
 
-  void fail(const std::string& why) const {
+  [[noreturn]] void fail(const std::string& why) const {
     throw UsageError("coll selection table: " + why);
   }
 
@@ -261,29 +298,36 @@ class TableScanner {
     return out;
   }
 
-  long parse_int() {
+  /// \p field names the value in the error for a numeral that overflows.
+  long parse_int(const std::string& field) {
     skip_ws();
     const std::size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
       ++pos_;
     }
+    const std::size_t digits = pos_;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
       ++pos_;
     }
-    if (pos_ == start) {
+    if (pos_ == digits) {
       fail("expected an integer");
     }
-    return std::stol(text_.substr(start, pos_ - start));
+    try {
+      return std::stol(text_.substr(start, pos_ - start));
+    } catch (const std::out_of_range&) {
+      fail("\"" + field + "\": " + text_.substr(start, pos_ - start) +
+           " is out of range");
+    }
   }
 
   /// Either a string or a number, discarded (unknown fields are skipped).
-  void skip_scalar() {
+  void skip_scalar(const std::string& field) {
     skip_ws();
     if (pos_ < text_.size() && text_[pos_] == '"') {
       (void)parse_string();
     } else {
-      (void)parse_int();
+      (void)parse_int(field);
     }
   }
 
@@ -315,8 +359,8 @@ CollSelectionTable CollSelectionTable::from_json(const std::string& text) {
           in.expect('{');
           std::string kind_name;
           std::string algo_name;
-          long li = -1;
-          long lb = -1;
+          std::optional<long> li;
+          std::optional<long> lb;
           do {
             const std::string key = in.parse_string();
             in.expect(':');
@@ -325,11 +369,11 @@ CollSelectionTable CollSelectionTable::from_json(const std::string& text) {
             } else if (key == "algorithm") {
               algo_name = in.parse_string();
             } else if (key == "log2_images") {
-              li = in.parse_int();
+              li = in.parse_int(key);
             } else if (key == "log2_bytes") {
-              lb = in.parse_int();
+              lb = in.parse_int(key);
             } else {
-              in.skip_scalar();
+              in.skip_scalar(key);
             }
           } while (in.eat(','));
           in.expect('}');
@@ -341,16 +385,28 @@ CollSelectionTable CollSelectionTable::from_json(const std::string& text) {
           if (!parse_algorithm(algo_name, algorithm)) {
             in.fail("unknown algorithm \"" + algo_name + "\"");
           }
-          if (li < 0 || lb < 0) {
+          if (!li || !lb) {
             in.fail("entry is missing log2_images / log2_bytes");
           }
-          table.set(kind, 1 << static_cast<int>(li),
-                    std::size_t{1} << static_cast<int>(lb), algorithm);
+          // The buckets become shift counts: images is an int, bytes a
+          // 64-bit size_t.
+          const auto require_range = [&in](const char* field, long value,
+                                           long max) {
+            if (value < 0 || value > max) {
+              in.fail(std::string("\"") + field + "\": " +
+                      std::to_string(value) + " outside [0, " +
+                      std::to_string(max) + "]");
+            }
+          };
+          require_range("log2_images", *li, 30);
+          require_range("log2_bytes", *lb, 63);
+          table.set(kind, 1 << static_cast<int>(*li),
+                    std::size_t{1} << static_cast<int>(*lb), algorithm);
         } while (in.eat(','));
         in.expect(']');
       }
     } else {
-      in.skip_scalar();
+      in.skip_scalar(field);
     }
     if (!in.eat(',')) {
       break;

@@ -3,9 +3,12 @@
 /// \file coll_algo.hpp
 /// Collective algorithm inventory and selection (DESIGN.md §4.13).
 ///
-/// Every collective kind maps to a set of selectable schedules; the
-/// CollAlgorithm::kAuto default resolves through a process-global *selection
-/// table* keyed by (collective kind, log2 team size, log2 payload bytes).
+/// Every collective kind maps to a set of selectable schedules. One pairing
+/// table in coll_algo.cpp lists them per kind, default first, together with
+/// the data-movement pattern that runs each; the queries below derive from
+/// it. The CollAlgorithm::kAuto default resolves through a process-global
+/// *selection table* keyed by (collective kind, log2 team size, log2
+/// payload bytes).
 /// Tables come from two places: the built-in per-kind defaults (the legacy
 /// schedules, so untuned runs keep their historical traces bit-for-bit), or
 /// a table measured under the simulator by `bench_collectives --tune` and
@@ -64,8 +67,9 @@ class CollSelectionTable {
   /// Deterministic JSON artifact (sorted entries, fixed field order).
   std::string to_json() const;
 
-  /// Parse a to_json() document; throws UsageError on malformed input or
-  /// unknown kind/algorithm names.
+  /// Parse a to_json() document; throws UsageError on malformed input,
+  /// unknown kind/algorithm names, and numbers out of range (log2_images
+  /// beyond [0, 30], log2_bytes beyond [0, 63], overflowing numerals).
   static CollSelectionTable from_json(const std::string& text);
 
  private:

@@ -13,8 +13,8 @@
 /// pre-fold in pairs (odd -> even) so exactly pow ranks run the exchange
 /// rounds, then the folded-out ranks receive the final result. The
 /// allgather variant requires a power-of-two team (resolve_algorithm clamps
-/// it to ring otherwise). Channels are non-FIFO, so incoming payloads are
-/// buffered by stage and pumped in round order.
+/// it to ring otherwise). Incoming payloads wait in a StageBuffer and are
+/// pumped in round order.
 
 namespace caf2::ops::detail {
 
@@ -37,11 +37,11 @@ class RdAllreduceImpl final : public CollImplBase {
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     const int p = team_size();
     pow_ = static_cast<int>(std::bit_floor(static_cast<unsigned>(p)));
     rem_ = p - pow_;
     rounds_ = ceil_log2(pow_);
+    got_.resize(stage_result() + 1);
     acc_.resize(desc().bytes);
     copy_bytes(acc_.data(), desc().buf, desc().bytes);
     const int r = team_rank();
@@ -56,30 +56,17 @@ class RdAllreduceImpl final : public CollImplBase {
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    got_.resize(std::max(got_.size(),
-                         static_cast<std::size_t>(msg.stage) + 1));
-    has_.resize(std::max(has_.size(),
-                         static_cast<std::size_t>(msg.stage) + 1),
-                false);
-    got_[static_cast<std::size_t>(msg.stage)] = std::move(msg.data);
-    has_[static_cast<std::size_t>(msg.stage)] = true;
-    if (started_) {
-      pump(image);
-    }
+    got_.store(msg.stage, std::move(msg.data));
+    pump(image);
   }
 
-  bool role_done() const override { return started_ && done_; }
+  bool role_done() const override { return done_; }
 
  private:
   int stage_result() const { return 1 + rounds_; }
 
-  bool have(int stage) const {
-    return static_cast<std::size_t>(stage) < has_.size() &&
-           has_[static_cast<std::size_t>(stage)];
-  }
-
   void fold_in(int stage) {
-    auto& incoming = got_[static_cast<std::size_t>(stage)];
+    net::SharedBytes& incoming = got_.at(stage);
     CAF2_ASSERT(incoming.size() == desc().bytes,
                 "recursive-doubling allreduce size mismatch");
     desc().reducer.combine(acc_.data(), incoming.data(),
@@ -99,10 +86,10 @@ class RdAllreduceImpl final : public CollImplBase {
       return;
     }
     if (folded_out_) {
-      if (!have(stage_result())) {
+      if (!got_.has(stage_result())) {
         return;
       }
-      auto& incoming = got_[static_cast<std::size_t>(stage_result())];
+      net::SharedBytes& incoming = got_.at(stage_result());
       CAF2_ASSERT(incoming.size() == desc().bytes,
                   "recursive-doubling allreduce result size mismatch");
       copy_bytes(desc().buf, incoming.data(), incoming.size());
@@ -112,7 +99,7 @@ class RdAllreduceImpl final : public CollImplBase {
     }
     const int r = team_rank();
     if (r < 2 * rem_ && !fold_absorbed_) {
-      if (!have(kStageFold)) {
+      if (!got_.has(kStageFold)) {
         return;
       }
       fold_in(kStageFold);
@@ -125,7 +112,7 @@ class RdAllreduceImpl final : public CollImplBase {
                    net::SharedBytes::copy_of(acc_.data(), acc_.size()));
         sent_current_ = true;
       }
-      if (!have(1 + round_)) {
+      if (!got_.has(1 + round_)) {
         return;
       }
       fold_in(1 + round_);
@@ -141,7 +128,6 @@ class RdAllreduceImpl final : public CollImplBase {
     mark_data_done(image);
   }
 
-  bool started_ = false;
   bool folded_out_ = false;
   bool fold_absorbed_ = false;
   bool sent_current_ = false;
@@ -151,8 +137,7 @@ class RdAllreduceImpl final : public CollImplBase {
   int rounds_ = 0;
   int round_ = 0;
   std::vector<std::uint8_t> acc_;
-  std::vector<net::SharedBytes> got_;
-  std::vector<bool> has_;
+  StageBuffer got_;
 };
 
 /// Recursive-doubling allgather (power-of-two p): round k exchanges the
@@ -165,29 +150,21 @@ class RdAllgatherImpl final : public CollImplBase {
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     const int p = team_size();
     CAF2_ASSERT(std::has_single_bit(static_cast<unsigned>(p)),
                 "recursive-doubling allgather needs a power-of-two team");
     rounds_ = ceil_log2(p);
+    got_.resize(rounds_);
     copy_bytes(slot(team_rank()), desc().buf, desc().bytes);
     pump(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    got_.resize(std::max(got_.size(),
-                         static_cast<std::size_t>(msg.stage) + 1));
-    has_.resize(std::max(has_.size(),
-                         static_cast<std::size_t>(msg.stage) + 1),
-                false);
-    got_[static_cast<std::size_t>(msg.stage)] = std::move(msg.data);
-    has_[static_cast<std::size_t>(msg.stage)] = true;
-    if (started_) {
-      pump(image);
-    }
+    got_.store(msg.stage, std::move(msg.data));
+    pump(image);
   }
 
-  bool role_done() const override { return started_ && round_ == rounds_; }
+  bool role_done() const override { return round_ == rounds_; }
 
  private:
   std::uint8_t* slot(int rank) const {
@@ -207,11 +184,10 @@ class RdAllgatherImpl final : public CollImplBase {
                        static_cast<std::size_t>(width) * desc().bytes));
         sent_current_ = true;
       }
-      if (static_cast<std::size_t>(round_) >= has_.size() ||
-          !has_[static_cast<std::size_t>(round_)]) {
+      if (!got_.has(round_)) {
         return;
       }
-      auto& incoming = got_[static_cast<std::size_t>(round_)];
+      net::SharedBytes& incoming = got_.at(round_);
       CAF2_ASSERT(incoming.size() ==
                       static_cast<std::size_t>(width) * desc().bytes,
                   "recursive-doubling allgather region size mismatch");
@@ -223,26 +199,22 @@ class RdAllgatherImpl final : public CollImplBase {
     mark_data_done(image, /*after_stages=*/true);
   }
 
-  bool started_ = false;
   bool sent_current_ = false;
   int rounds_ = 0;
   int round_ = 0;
-  std::vector<net::SharedBytes> got_;
-  std::vector<bool> has_;
+  StageBuffer got_;
 };
 
 }  // namespace
 
-std::unique_ptr<CollImplBase> make_rd_impl(rt::CollKey key, CollDesc desc) {
-  switch (desc.kind) {
-    case CollKind::kAllreduce:
-      return std::make_unique<RdAllreduceImpl>(key, std::move(desc));
-    case CollKind::kAllgather:
-      return std::make_unique<RdAllgatherImpl>(key, std::move(desc));
-    default:
-      throw UsageError(
-          "recursive-doubling schedule: unsupported collective kind");
-  }
+std::unique_ptr<CollImplBase> make_rd_allreduce(rt::CollKey key,
+                                                CollDesc desc) {
+  return std::make_unique<RdAllreduceImpl>(key, std::move(desc));
+}
+
+std::unique_ptr<CollImplBase> make_rd_allgather(rt::CollKey key,
+                                                CollDesc desc) {
+  return std::make_unique<RdAllgatherImpl>(key, std::move(desc));
 }
 
 }  // namespace caf2::ops::detail

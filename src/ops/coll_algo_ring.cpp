@@ -6,13 +6,13 @@
 #include "support/error.hpp"
 
 /// \file coll_algo_ring.cpp
-/// Ring-family schedules (DESIGN.md §4.13). The ring allreduce /
-/// reduce-scatter / allgather move ~2·bytes·(p-1)/p per image regardless of
-/// team size — bandwidth-optimal — against the binomial tree's
-/// log2(p)·bytes per hop, at the cost of p-1 latency steps; the selection
-/// table exploits exactly this crossover. Channels are non-FIFO (delivery
-/// jitter can reorder same-link messages), so every impl buffers incoming
-/// payloads by stage number and pumps strictly in stage order.
+/// The ring pattern (DESIGN.md §4.13): one pipeline over p chunks that runs
+/// a reduce-scatter phase, an allgather phase, or both. The ring allreduce
+/// (both phases), reduce-scatter and allgather move ~2·bytes·(p-1)/p per
+/// image regardless of team size — bandwidth-optimal — against the binomial
+/// tree's log2(p)·bytes per hop, at the cost of p-1 latency steps; the
+/// selection table exploits exactly this crossover. Incoming payloads are
+/// buffered by stage number and pumped strictly in stage order.
 
 namespace caf2::ops::detail {
 
@@ -21,92 +21,79 @@ namespace {
 using rt::CollStageMsg;
 using rt::Image;
 
-/// Per-stage receive buffer: non-FIFO-safe storage keyed by stage number.
-class StageBuffer {
- public:
-  void store(int stage, net::SharedBytes&& data) {
-    const auto index = static_cast<std::size_t>(stage);
-    if (index >= has_.size()) {
-      data_.resize(index + 1);
-      has_.resize(index + 1, false);
-    }
-    data_[index] = std::move(data);
-    has_[index] = true;
-  }
-
-  bool has(int stage) const {
-    const auto index = static_cast<std::size_t>(stage);
-    return index < has_.size() && has_[index];
-  }
-
-  net::SharedBytes& at(int stage) {
-    return data_[static_cast<std::size_t>(stage)];
-  }
-
- private:
-  std::vector<net::SharedBytes> data_;
-  std::vector<bool> has_;
-};
-
-/// Ring allreduce: a reduce-scatter phase (steps 0..p-2, rank r sends
-/// accumulated chunk (r-s) mod p to r+1 and folds in chunk (r-1-s) mod p
-/// from r-1, ending as the owner of fully-reduced chunk (r+1) mod p)
-/// followed by an allgather phase (steps p-1..2p-3 circulating the owned
-/// chunks). Chunks split desc().bytes on reducer element boundaries, so
-/// they may be empty when p exceeds the element count. In the allgather
-/// phase the chunk sent at step s+1 is the one received at step s, so it
-/// forwards the received buffer instead of copying it back out of acc_.
-class RingAllreduceImpl final : public CollImplBase {
+/// Ring pipeline. Each step sends one chunk to r+1 and receives the chunk
+/// before it from r-1. With o = 1 for allreduce and 0 otherwise:
+///  - a reduce step s sends the partial sum of chunk (r+o-1-s) mod p and
+///    folds in chunk (r+o-2-s) mod p, so after p-1 steps rank r owns the
+///    fully reduced chunk (r+o) mod p;
+///  - an allgather step s passes on chunk (r+o-s) mod p and stores chunk
+///    (r+o-1-s) mod p. The chunk sent at step s+1 is the one received at
+///    step s, so it forwards the received buffer instead of copying it.
+/// Allreduce chunks split desc().bytes on reducer element boundaries, so
+/// they may be empty when p exceeds the element count. The allgather works
+/// in place in the receive buffer; the reducing kinds in a private copy of
+/// the send buffer.
+class RingImpl final : public CollImplBase {
  public:
   using CollImplBase::CollImplBase;
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
+    const CollDesc& d = desc();
     const int p = team_size();
-    stages_ = 2 * (p - 1);
-    acc_.resize(desc().bytes);
-    copy_bytes(acc_.data(), desc().buf, desc().bytes);
+    const bool allreduce = d.kind == CollKind::kAllreduce;
+    reduce_steps_ = d.kind == CollKind::kAllgather ? 0 : p - 1;
+    stages_ = reduce_steps_ + (d.kind == CollKind::kReduceScatter ? 0 : p - 1);
+    got_.resize(stages_);
+    owner_ = allreduce ? 1 : 0;
+    unit_ = allreduce ? d.reducer.elem_size : 1;
+    if (d.kind == CollKind::kAllgather) {
+      total_ = d.bytes2;
+      copy_bytes(chunk(team_rank()), d.buf, d.bytes);
+    } else {
+      total_ = d.bytes;
+      acc_.assign(static_cast<const std::uint8_t*>(d.buf),
+                  static_cast<const std::uint8_t*>(d.buf) + d.bytes);
+    }
     pump(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
     got_.store(msg.stage, std::move(msg.data));
-    if (started_) {
-      pump(image);
-    }
+    pump(image);
   }
 
-  bool role_done() const override { return started_ && stage_ == stages_; }
+  bool role_done() const override { return stage_ == stages_; }
 
  private:
-  std::size_t elems() const {
-    return desc().bytes / desc().reducer.elem_size;
+  std::uint8_t* work() {
+    return desc().kind == CollKind::kAllgather
+               ? static_cast<std::uint8_t*>(desc().buf2)
+               : acc_.data();
   }
-  std::size_t chunk_begin(int chunk) const {
-    return elems() * static_cast<std::size_t>(chunk) /
-           static_cast<std::size_t>(team_size()) * desc().reducer.elem_size;
+  std::size_t chunk_begin(int index) const {
+    return total_ / unit_ * static_cast<std::size_t>(index) /
+           static_cast<std::size_t>(team_size()) * unit_;
   }
-  std::size_t chunk_bytes(int chunk) const {
-    return chunk_begin(chunk + 1) - chunk_begin(chunk);
+  std::size_t chunk_bytes(int index) const {
+    return chunk_begin(index + 1) - chunk_begin(index);
   }
+  std::uint8_t* chunk(int index) { return work() + chunk_begin(index); }
 
   void pump(Image& image) {
     const int p = team_size();
     const int r = team_rank();
+    const auto mod = [p](int x) { return ((x % p) + p) % p; };
     while (stage_ < stages_) {
-      const bool reduce_phase = stage_ < p - 1;
-      const int step = reduce_phase ? stage_ : stage_ - (p - 1);
-      const int send_chunk =
-          reduce_phase ? (r - step + p) % p : (r + 1 - step + 2 * p) % p;
-      const int recv_chunk =
-          reduce_phase ? (r - 1 - step + 2 * p) % p : (r - step + 2 * p) % p;
+      const bool reducing = stage_ < reduce_steps_;
+      const int step = stage_ - (reducing ? 0 : reduce_steps_);
+      const int send_chunk = mod(r + owner_ - step - (reducing ? 1 : 0));
+      const int recv_chunk = mod(send_chunk - 1);
       if (!sent_current_) {
         send_stage(image, (r + 1) % p, stage_,
-                   reduce_phase || step == 0
-                       ? net::SharedBytes::copy_of(
-                             acc_.data() + chunk_begin(send_chunk),
-                             chunk_bytes(send_chunk))
+                   reducing || step == 0
+                       ? net::SharedBytes::copy_of(chunk(send_chunk),
+                                                   chunk_bytes(send_chunk))
                        : std::move(forward_));
         sent_current_ = true;
       }
@@ -115,181 +102,49 @@ class RingAllreduceImpl final : public CollImplBase {
       }
       net::SharedBytes& incoming = got_.at(stage_);
       CAF2_ASSERT(incoming.size() == chunk_bytes(recv_chunk),
-                  "ring allreduce chunk size mismatch");
-      if (reduce_phase) {
-        desc().reducer.combine(acc_.data() + chunk_begin(recv_chunk),
-                               incoming.data(),
+                  "ring chunk size mismatch");
+      if (reducing) {
+        desc().reducer.combine(chunk(recv_chunk), incoming.data(),
                                incoming.size() / desc().reducer.elem_size);
         incoming.reset();
       } else {
-        copy_bytes(acc_.data() + chunk_begin(recv_chunk), incoming.data(),
-                   incoming.size());
+        copy_bytes(chunk(recv_chunk), incoming.data(), incoming.size());
         forward_ = std::move(incoming);
       }
       ++stage_;
       sent_current_ = false;
     }
     forward_.reset();
-    copy_bytes(desc().buf, acc_.data(), acc_.size());
-    mark_data_done(image);
+    switch (desc().kind) {
+      case CollKind::kAllreduce:
+        copy_bytes(desc().buf, acc_.data(), acc_.size());
+        mark_data_done(image);
+        break;
+      case CollKind::kReduceScatter:
+        copy_bytes(desc().buf2, chunk(r), chunk_bytes(r));
+        mark_data_done(image);
+        break;
+      default:  // allgather: the result is already in place
+        mark_data_done(image, /*after_stages=*/true);
+    }
   }
 
-  bool started_ = false;
-  bool sent_current_ = false;
   int stage_ = 0;
   int stages_ = 0;
+  int reduce_steps_ = 0;
+  int owner_ = 0;              ///< o: chunk offset owned after the reduce phase
+  std::size_t total_ = 0;      ///< bytes split into p chunks
+  std::size_t unit_ = 1;       ///< chunk boundaries fall on multiples of this
+  bool sent_current_ = false;
   std::vector<std::uint8_t> acc_;
-  net::SharedBytes forward_;  ///< last allgather-phase chunk received
-  StageBuffer got_;
-};
-
-/// Ring allgather: rank r seeds slot r of the receive buffer with its own
-/// block, then p-1 steps circulate blocks around the ring (step s: send
-/// block (r-s) mod p to r+1, receive block (r-1-s) mod p from r-1). The
-/// block sent at step s+1 is the one received at step s: it is forwarded,
-/// not copied.
-class RingAllgatherImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    stages_ = team_size() - 1;
-    copy_bytes(slot(team_rank()), desc().buf, desc().bytes);
-    pump(image);
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    got_.store(msg.stage, std::move(msg.data));
-    if (started_) {
-      pump(image);
-    }
-  }
-
-  bool role_done() const override { return started_ && stage_ == stages_; }
-
- private:
-  std::uint8_t* slot(int rank) const {
-    return static_cast<std::uint8_t*>(desc().buf2) +
-           static_cast<std::size_t>(rank) * desc().bytes;
-  }
-
-  void pump(Image& image) {
-    const int p = team_size();
-    const int r = team_rank();
-    while (stage_ < stages_) {
-      if (!sent_current_) {
-        send_stage(image, (r + 1) % p, stage_,
-                   stage_ == 0
-                       ? net::SharedBytes::copy_of(slot(r), desc().bytes)
-                       : std::move(forward_));
-        sent_current_ = true;
-      }
-      if (!got_.has(stage_)) {
-        return;
-      }
-      net::SharedBytes& incoming = got_.at(stage_);
-      CAF2_ASSERT(incoming.size() == desc().bytes,
-                  "ring allgather block size mismatch");
-      const int recv_block = (r - 1 - stage_ + 2 * p) % p;
-      copy_bytes(slot(recv_block), incoming.data(), incoming.size());
-      forward_ = std::move(incoming);
-      ++stage_;
-      sent_current_ = false;
-    }
-    forward_.reset();
-    mark_data_done(image, /*after_stages=*/true);
-  }
-
-  bool started_ = false;
-  bool sent_current_ = false;
-  int stage_ = 0;
-  int stages_ = 0;
-  net::SharedBytes forward_;  ///< block received at the previous step
-  StageBuffer got_;
-};
-
-/// Ring reduce-scatter: the reduce-scatter phase of the ring allreduce over
-/// uniform chunks of desc().bytes2, indexed so that rank r ends owning
-/// chunk r (step s: send accumulated chunk (r-1-s) mod p, fold in chunk
-/// (r-2-s) mod p).
-class RingReduceScatterImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    stages_ = team_size() - 1;
-    acc_.resize(desc().bytes);
-    copy_bytes(acc_.data(), desc().buf, desc().bytes);
-    pump(image);
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    got_.store(msg.stage, std::move(msg.data));
-    if (started_) {
-      pump(image);
-    }
-  }
-
-  bool role_done() const override { return started_ && stage_ == stages_; }
-
- private:
-  std::uint8_t* chunk(int index) {
-    return acc_.data() + static_cast<std::size_t>(index) * desc().bytes2;
-  }
-
-  void pump(Image& image) {
-    const int p = team_size();
-    const int r = team_rank();
-    while (stage_ < stages_) {
-      if (!sent_current_) {
-        const int send_chunk = (r - 1 - stage_ + 2 * p) % p;
-        send_stage(image, (r + 1) % p, stage_,
-                   net::SharedBytes::copy_of(chunk(send_chunk),
-                                             desc().bytes2));
-        sent_current_ = true;
-      }
-      if (!got_.has(stage_)) {
-        return;
-      }
-      net::SharedBytes& incoming = got_.at(stage_);
-      CAF2_ASSERT(incoming.size() == desc().bytes2,
-                  "ring reduce-scatter chunk size mismatch");
-      const int recv_chunk = (r - 2 - stage_ + 2 * p) % p;
-      desc().reducer.combine(chunk(recv_chunk), incoming.data(),
-                             incoming.size() / desc().reducer.elem_size);
-      incoming.reset();
-      ++stage_;
-      sent_current_ = false;
-    }
-    copy_bytes(desc().buf2, chunk(r), desc().bytes2);
-    mark_data_done(image);
-  }
-
-  bool started_ = false;
-  bool sent_current_ = false;
-  int stage_ = 0;
-  int stages_ = 0;
-  std::vector<std::uint8_t> acc_;
+  net::SharedBytes forward_;   ///< allgather chunk received at the last step
   StageBuffer got_;
 };
 
 }  // namespace
 
-std::unique_ptr<CollImplBase> make_ring_impl(rt::CollKey key, CollDesc desc) {
-  switch (desc.kind) {
-    case CollKind::kAllreduce:
-      return std::make_unique<RingAllreduceImpl>(key, std::move(desc));
-    case CollKind::kAllgather:
-      return std::make_unique<RingAllgatherImpl>(key, std::move(desc));
-    case CollKind::kReduceScatter:
-      return std::make_unique<RingReduceScatterImpl>(key, std::move(desc));
-    default:
-      throw UsageError("ring schedule: unsupported collective kind");
-  }
+std::unique_ptr<CollImplBase> make_ring(rt::CollKey key, CollDesc desc) {
+  return std::make_unique<RingImpl>(key, std::move(desc));
 }
 
 }  // namespace caf2::ops::detail

@@ -6,13 +6,15 @@
 #include "support/error.hpp"
 
 /// \file coll_algo_tree.cpp
-/// Tree-family schedules (DESIGN.md §4.13): broadcast and reduce over a
-/// rooted tree — binomial (the default), radix-4 k-nomial (shallower: depth
+/// The tree pattern (DESIGN.md §4.13): one rooted tree with an optional up
+/// phase (children combine into their parent) and an optional down phase
+/// (parents forward the result to their children). Broadcast is down only,
+/// reduce is up only, and the binomial allreduce and the binomial barrier
+/// (zero-byte tokens up, release down) run both. The allreduce is one pass
+/// up a reduction tree to team rank 0 and one down a broadcast tree, the
+/// structure the paper's critical-path bound assumes. The tree is binomial, radix-4 k-nomial (shallower: depth
 /// log_4 p, at the cost of up to three sends per level per node) or, for
-/// broadcast, a ring chain (p-1 hops: the degenerate pipeline schedule) —
-/// and a binomial gather+release barrier (an alternative to the default
-/// dissemination rounds: 2 log2 p hops of depth instead of log2 p rounds of
-/// p messages).
+/// broadcast, a ring chain (p-1 hops: the degenerate pipeline schedule).
 
 namespace caf2::ops::detail {
 
@@ -22,7 +24,7 @@ using rt::CollStageMsg;
 using rt::Image;
 
 /// A rooted tree over relative ranks (root 0): all that the binomial,
-/// k-nomial and ring-chain broadcast/reduce schedules differ in.
+/// k-nomial and ring-chain schedules differ in.
 struct TreeShape {
   int (*parent)(int vr);
   std::vector<int> (*children)(int vr, int p);
@@ -50,228 +52,112 @@ TreeShape tree_shape(CollAlgorithm algorithm) {
   }
 }
 
-/// Broadcast from desc().root down a tree over relative ranks. Payload
-/// ownership: the root snapshots its buffer once, every interior image
-/// forwards the buffer it received, and each image drops its reference as
-/// soon as it has forwarded — one buffer serves every edge of the tree.
-class TreeBroadcastImpl final : public CollImplBase {
+/// Tree collective rooted at desc().root (team rank 0 for allreduce and
+/// barrier, whose descriptors leave it at its default). Payload ownership:
+/// the accumulator is the stage buffer itself, moved into the message to
+/// the parent; the result buffer (the root's accumulator, or the broadcast
+/// root's one snapshot) is forwarded unchanged down every edge, and each
+/// image drops its reference as soon as it has forwarded.
+class TreeImpl final : public CollImplBase {
  public:
-  TreeBroadcastImpl(rt::CollKey key, CollDesc desc, TreeShape shape)
-      : CollImplBase(key, std::move(desc)), shape_(shape) {}
+  TreeImpl(rt::CollKey key, CollDesc desc)
+      : CollImplBase(key, std::move(desc)),
+        shape_(tree_shape(this->desc().algorithm)),
+        up_(this->desc().kind != CollKind::kBroadcast),
+        down_(this->desc().kind != CollKind::kReduce) {}
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
-    if (team_rank() == desc().root) {
-      payload_ = net::SharedBytes::copy_of(desc().buf, desc().bytes);
-      have_data_ = true;
-      forward(image);
-      mark_data_done(image, /*after_stages=*/true);
-    } else if (pending_payload_) {
-      deliver(image);
+    const bool root = team_rank() == desc().root;
+    if (!up_) {
+      if (root) {
+        deliver(image, net::SharedBytes::copy_of(desc().buf, desc().bytes));
+      }
+      return;
     }
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    payload_ = std::move(msg.data);
-    pending_payload_ = true;
-    if (started_) {
-      deliver(image);
-    }
-  }
-
-  bool role_done() const override { return started_ && have_data_; }
-
- private:
-  int vrank() const {
-    const int p = team_size();
-    return (team_rank() - desc().root + p) % p;
-  }
-
-  void forward(Image& image) {
-    const int p = team_size();
-    for (int child : shape_.children(vrank(), p)) {
-      send_stage(image, (child + desc().root) % p, 0, payload_);
-    }
-    payload_.reset();
-  }
-
-  void deliver(Image& image) {
-    CAF2_ASSERT(payload_.size() == desc().bytes, "broadcast size mismatch");
-    copy_bytes(desc().buf, payload_.data(), payload_.size());
-    have_data_ = true;
-    pending_payload_ = false;
-    forward(image);
-    mark_data_done(image);
-  }
-
-  TreeShape shape_;
-  bool started_ = false;
-  bool have_data_ = false;
-  bool pending_payload_ = false;
-  net::SharedBytes payload_;
-};
-
-/// Reduction toward desc().root up a tree over relative ranks. The
-/// accumulator is the stage buffer itself: a non-root image moves it into
-/// the message to its parent instead of copying it.
-class TreeReduceImpl final : public CollImplBase {
- public:
-  TreeReduceImpl(rt::CollKey key, CollDesc desc, TreeShape shape)
-      : CollImplBase(key, std::move(desc)), shape_(shape) {}
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
     acc_ = net::SharedBytes::copy_of(desc().buf, desc().bytes);
     expected_ =
         static_cast<int>(shape_.children(vrank(), team_size()).size());
-    if (team_rank() != desc().root) {
+    if (!down_ && !root) {
       mark_data_done(image);  // inputs captured; user buffer reusable
     }
-    for (const net::SharedBytes& pending : pending_msgs_) {
-      absorb(pending);
-    }
-    pending_msgs_.clear();
-    try_advance(image);
+    try_up(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_msgs_.push_back(std::move(msg.data));
+    if (msg.stage == down_stage()) {
+      deliver(image, std::move(msg.data));
       return;
     }
-    absorb(msg.data);
-    try_advance(image);
+    CAF2_ASSERT(msg.data.size() == desc().bytes, "tree: up-stage size mismatch");
+    if (desc().bytes > 0) {  // barrier tokens carry nothing to combine
+      const Reducer& reducer = desc().reducer;
+      reducer.combine(acc_.mutable_data(), msg.data.data(),
+                      desc().bytes / reducer.elem_size);
+    }
+    ++got_;
+    try_up(image);
   }
 
-  bool role_done() const override { return started_ && done_; }
+  bool role_done() const override { return done_; }
 
  private:
+  static constexpr int kStageUp = 0;
+  int down_stage() const { return up_ ? 1 : 0; }
+
   int vrank() const {
     const int p = team_size();
     return (team_rank() - desc().root + p) % p;
   }
 
-  void absorb(const net::SharedBytes& data) {
-    CAF2_ASSERT(data.size() == desc().bytes, "reduce size mismatch");
-    const Reducer& reducer = desc().reducer;
-    reducer.combine(acc_.mutable_data(), data.data(),
-                    desc().bytes / reducer.elem_size);
-    ++got_;
-  }
-
-  void try_advance(Image& image) {
-    if (done_ || got_ < expected_) {
-      return;
-    }
-    done_ = true;
-    if (team_rank() == desc().root) {
-      copy_bytes(desc().buf, acc_.data(), acc_.size());
-      acc_.reset();
-      mark_data_done(image);
-    } else {
-      const int p = team_size();
-      send_stage(image, (shape_.parent(vrank()) + desc().root) % p, 0,
-                 std::move(acc_));
-    }
-  }
-
-  TreeShape shape_;
-  bool started_ = false;
-  bool done_ = false;
-  int expected_ = 0;
-  int got_ = 0;
-  net::SharedBytes acc_;
-  std::vector<net::SharedBytes> pending_msgs_;
-};
-
-/// Binomial gather+release barrier rooted at team rank 0: zero-byte tokens
-/// flow up the tree (stage 0); once the root holds its whole subtree it
-/// releases back down (stage 1). The release is causally ordered after this
-/// node's own up token, so it can never arrive before the up phase is done.
-class TreeBarrierImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
-  static constexpr int kStageUp = 0;
-  static constexpr int kStageDown = 1;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    expected_ = static_cast<int>(
-        binomial_children(team_rank(), team_size()).size());
-    try_up(image);
-    if (pending_release_) {
-      release(image);
-    }
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (msg.stage == kStageUp) {
-      ++got_;
-      if (started_) {
-        try_up(image);
-      }
-    } else {
-      pending_release_ = true;
-      if (started_) {
-        release(image);
-      }
-    }
-  }
-
-  bool role_done() const override { return started_ && released_; }
-
- private:
   void try_up(Image& image) {
     if (up_done_ || got_ < expected_) {
       return;
     }
     up_done_ = true;
-    if (team_rank() == 0) {
-      release(image);
+    if (team_rank() == desc().root) {
+      deliver(image, std::move(acc_));
     } else {
-      send_stage(image, binomial_parent(team_rank()), kStageUp, {});
+      done_ = !down_;
+      const int p = team_size();
+      send_stage(image, (shape_.parent(vrank()) + desc().root) % p, kStageUp,
+                 std::move(acc_));
     }
   }
 
-  void release(Image& image) {
-    CAF2_ASSERT(up_done_, "tree barrier released before its subtree arrived");
-    pending_release_ = false;
-    released_ = true;
-    for (int child : binomial_children(team_rank(), team_size())) {
-      send_stage(image, child, kStageDown, {});
+  /// The result reached this image: store it, forward it down the tree.
+  void deliver(Image& image, net::SharedBytes result) {
+    // The broadcast root's result is a snapshot of its own buffer; its data
+    // completes once the forwarded stages are injected.
+    const bool source = !up_ && team_rank() == desc().root;
+    CAF2_ASSERT(result.size() == desc().bytes, "tree: result size mismatch");
+    if (!source) {
+      copy_bytes(desc().buf, result.data(), result.size());
     }
-    mark_data_done(image);
+    done_ = true;
+    if (down_) {
+      const int p = team_size();
+      for (int child : shape_.children(vrank(), p)) {
+        send_stage(image, (child + desc().root) % p, down_stage(), result);
+      }
+    }
+    mark_data_done(image, /*after_stages=*/source);
   }
 
-  bool started_ = false;
+  TreeShape shape_;
+  bool up_;
+  bool down_;
   bool up_done_ = false;
-  bool released_ = false;
-  bool pending_release_ = false;
+  bool done_ = false;
   int expected_ = 0;
   int got_ = 0;
+  net::SharedBytes acc_;
 };
 
 }  // namespace
 
-std::unique_ptr<CollImplBase> make_tree_barrier_impl(rt::CollKey key,
-                                                     CollDesc desc) {
-  return std::make_unique<TreeBarrierImpl>(key, std::move(desc));
-}
-
-std::unique_ptr<CollImplBase> make_tree_impl(rt::CollKey key, CollDesc desc) {
-  const TreeShape shape = tree_shape(desc.algorithm);
-  switch (desc.kind) {
-    case CollKind::kBroadcast:
-      return std::make_unique<TreeBroadcastImpl>(key, std::move(desc), shape);
-    case CollKind::kReduce:
-      return std::make_unique<TreeReduceImpl>(key, std::move(desc), shape);
-    default:
-      throw UsageError("tree schedule: unsupported collective kind");
-  }
+std::unique_ptr<CollImplBase> make_tree(rt::CollKey key, CollDesc desc) {
+  return std::make_unique<TreeImpl>(key, std::move(desc));
 }
 
 }  // namespace caf2::ops::detail

@@ -1,11 +1,15 @@
 #pragma once
 
 /// \file coll_detail.hpp
-/// Internal machinery shared by the collective implementations
-/// (collectives.cpp) and the distributed sort (sort.cpp). Not public API.
+/// Internal machinery shared by the collective implementations: tree
+/// helpers, the per-stage receive buffer, the CollImplBase stage machine and
+/// one factory per data-movement pattern (DESIGN.md §4.13). The pairing
+/// table in coll_algo.cpp maps every (kind, schedule) to one of those
+/// factories. Not public API.
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "ops/collectives.hpp"
@@ -39,9 +43,48 @@ inline void copy_bytes(void* dst, const void* src, std::size_t bytes) {
 /// log_4 p, at most 3 sends per level per node).
 inline constexpr int kKnomialRadix = 4;
 
+/// Per-stage receive buffer for the round-based schedules. Channels are
+/// non-FIFO (delivery jitter can reorder same-link messages), so a stage-s
+/// message can arrive before stage s-1's; schedules store arrivals by stage
+/// and consume them strictly in stage order. Sized once in begin(), which
+/// runs before any arrival: growing it per arrival raised the peak RSS of a
+/// 4096-image run (one dissemination barrier per image) by 13%.
+class StageBuffer {
+ public:
+  void resize(int stages) { slots_.resize(static_cast<std::size_t>(stages)); }
+
+  void store(int stage, net::SharedBytes&& data) {
+    CAF2_ASSERT(stage >= 0 && static_cast<std::size_t>(stage) < slots_.size(),
+                "collective stage out of range");
+    Slot& slot = slots_[static_cast<std::size_t>(stage)];
+    slot.data = std::move(data);
+    slot.has = true;
+  }
+
+  bool has(int stage) const {
+    return slots_[static_cast<std::size_t>(stage)].has;
+  }
+
+  net::SharedBytes& at(int stage) {
+    return slots_[static_cast<std::size_t>(stage)].data;
+  }
+
+ private:
+  struct Slot {
+    net::SharedBytes data;
+    bool has = false;
+  };
+  std::vector<Slot> slots_;
+};
+
 /// Common machinery: stage-message sending with staged/ack bookkeeping, the
 /// two completion points (local data / local operation), and finish
 /// attribution captured at start time.
+///
+/// Invariant: stages reach handle() only after begin() returns.
+/// start_collective installs the operation and calls start() without
+/// yielding; stages that arrive earlier wait in rt::PendingColl::buffered
+/// and are replayed afterwards. No implementation buffers pre-start stages.
 class CollImplBase : public rt::CollBase {
  public:
   CollImplBase(rt::CollKey key, CollDesc desc);
@@ -49,7 +92,7 @@ class CollImplBase : public rt::CollBase {
   void on_stage(rt::Image& image, rt::CollStageMsg&& msg) override;
   bool finished() const override { return erasable_; }
 
-  /// Entered once, after construction (and before any buffered replay).
+  /// Entered once, after construction and before any stage is delivered.
   void start(rt::Image& image, const net::FinishKey& finish,
              rt::ImplicitOpPtr op);
 
@@ -87,25 +130,44 @@ class CollImplBase : public rt::CollBase {
   int pending_stage_ = 0;
   int pending_ack_ = 0;
   double begin_us_ = 0.0;  ///< start() time, for the obs collective span
+  bool begun_ = false;     ///< begin() has returned
   bool data_done_ = false;
   bool data_after_stages_ = false;
   bool op_done_ = false;
   bool erasable_ = false;
 };
 
-/// Factory for the distributed sample sort (implemented in sort.cpp).
-std::unique_ptr<CollImplBase> make_sort_impl(rt::CollKey key, CollDesc desc);
+/// One factory per data-movement pattern, each defined next to its class.
+using CollFactory = std::unique_ptr<CollImplBase> (*)(rt::CollKey key,
+                                                       CollDesc desc);
 
-/// Algorithm-family factories (one translation unit per family; each
-/// switches on desc.kind for the kinds its schedule covers). desc.algorithm
-/// is already resolved to the family's concrete value.
-std::unique_ptr<CollImplBase> make_tree_barrier_impl(rt::CollKey key,
-                                                     CollDesc desc);
-/// Broadcast and reduce over the binomial, k-nomial or ring-chain tree.
-std::unique_ptr<CollImplBase> make_tree_impl(rt::CollKey key, CollDesc desc);
-std::unique_ptr<CollImplBase> make_ring_impl(rt::CollKey key, CollDesc desc);
-std::unique_ptr<CollImplBase> make_rd_impl(rt::CollKey key, CollDesc desc);
-std::unique_ptr<CollImplBase> make_direct_impl(rt::CollKey key,
-                                               CollDesc desc);
+/// Broadcast, reduce, binomial allreduce and binomial barrier: one rooted
+/// tree with an optional combine (up) and forward (down) phase.
+std::unique_ptr<CollImplBase> make_tree(rt::CollKey key, CollDesc desc);
+/// Ring allreduce, allgather and reduce-scatter: one ring pipeline.
+std::unique_ptr<CollImplBase> make_ring(rt::CollKey key, CollDesc desc);
+/// Every direct schedule: one message per communicating pair.
+std::unique_ptr<CollImplBase> make_direct(rt::CollKey key, CollDesc desc);
+std::unique_ptr<CollImplBase> make_rd_allreduce(rt::CollKey key,
+                                                CollDesc desc);
+std::unique_ptr<CollImplBase> make_rd_allgather(rt::CollKey key,
+                                                CollDesc desc);
+std::unique_ptr<CollImplBase> make_dissemination_barrier(rt::CollKey key,
+                                                         CollDesc desc);
+std::unique_ptr<CollImplBase> make_scan(rt::CollKey key, CollDesc desc);
+std::unique_ptr<CollImplBase> make_binomial_gather(rt::CollKey key,
+                                                   CollDesc desc);
+std::unique_ptr<CollImplBase> make_binomial_scatter(rt::CollKey key,
+                                                    CollDesc desc);
+/// The distributed sample sort (sort.cpp).
+std::unique_ptr<CollImplBase> make_sort(rt::CollKey key, CollDesc desc);
+
+/// The factory the pairing table gives (kind, algorithm); nullptr when the
+/// pairing is not implemented.
+CollFactory find_factory(CollKind kind, CollAlgorithm algorithm);
+
+/// Cofence classification from the pairing table (paper Fig. 4 rows): does
+/// \p desc read / write initiator-local data on the calling image?
+void classify(const CollDesc& desc, bool& reads, bool& writes);
 
 }  // namespace caf2::ops::detail

@@ -71,6 +71,7 @@ CollImplBase::CollImplBase(CollKey key, CollDesc desc)
     : key_(key), desc_(std::move(desc)) {}
 
 void CollImplBase::on_stage(Image& image, CollStageMsg&& msg) {
+  CAF2_ASSERT(begun_, "collective stage delivered before begin() returned");
   handle(image, std::move(msg));
   try_complete(image);
 }
@@ -81,6 +82,7 @@ void CollImplBase::start(Image& image, const net::FinishKey& finish,
   op_ = std::move(op);
   begin_us_ = image.runtime().engine().now();
   begin(image);
+  begun_ = true;
   try_complete(image);
 }
 
@@ -187,29 +189,23 @@ using rt::Image;
 
 /// Dissemination barrier: round k sends a token to (rank + 2^k) mod p and
 /// waits for the token from (rank - 2^k) mod p.
-class BarrierImpl final : public CollImplBase {
+class DisseminationBarrierImpl final : public CollImplBase {
  public:
   using CollImplBase::CollImplBase;
 
  protected:
   void begin(Image& image) override {
     rounds_ = ceil_log2(team_size());
-    got_.assign(static_cast<std::size_t>(rounds_), false);
-    started_ = true;
+    got_.resize(rounds_);
     pump(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    if (static_cast<std::size_t>(msg.stage) >= got_.size()) {
-      got_.resize(static_cast<std::size_t>(msg.stage) + 1, false);
-    }
-    got_[static_cast<std::size_t>(msg.stage)] = true;
-    if (started_) {
-      pump(image);
-    }
+    got_.store(msg.stage, std::move(msg.data));
+    pump(image);
   }
 
-  bool role_done() const override { return started_ && round_ == rounds_; }
+  bool role_done() const override { return round_ == rounds_; }
 
  private:
   void pump(Image& image) {
@@ -219,8 +215,7 @@ class BarrierImpl final : public CollImplBase {
         send_stage(image, (team_rank() + (1 << round_)) % p, round_, {});
         sent_current_ = true;
       }
-      if (static_cast<std::size_t>(round_) >= got_.size() ||
-          !got_[static_cast<std::size_t>(round_)]) {
+      if (!got_.has(round_)) {
         return;
       }
       ++round_;
@@ -232,123 +227,19 @@ class BarrierImpl final : public CollImplBase {
   int rounds_ = 0;
   int round_ = 0;
   bool sent_current_ = false;
-  bool started_ = false;
-  std::vector<bool> got_;
-};
-
-/// Allreduce = binomial reduce to team rank 0 (stage 0) + binomial broadcast
-/// from team rank 0 (stage 1): one pass through a reduction tree and one
-/// through a broadcast tree, the structure the paper's critical-path bound
-/// assumes. Payload ownership follows the tree schedules: each accumulator
-/// moves up to its parent, and the root's final accumulator is the one
-/// buffer every broadcast edge forwards.
-class AllreduceImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
-  static constexpr int kStageReduce = 0;
-  static constexpr int kStageBcast = 1;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    acc_ = net::SharedBytes::copy_of(desc().buf, desc().bytes);
-    expected_ = static_cast<int>(
-        binomial_children(team_rank(), team_size()).size());
-    for (const net::SharedBytes& pending : pending_reduce_) {
-      absorb(pending);
-    }
-    pending_reduce_.clear();
-    try_reduce(image);
-    if (pending_bcast_) {
-      deliver(image);
-    }
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (msg.stage == kStageReduce) {
-      if (!started_) {
-        pending_reduce_.push_back(std::move(msg.data));
-        return;
-      }
-      absorb(msg.data);
-      try_reduce(image);
-    } else {
-      bcast_payload_ = std::move(msg.data);
-      pending_bcast_ = true;
-      if (started_) {
-        deliver(image);
-      }
-    }
-  }
-
-  bool role_done() const override { return started_ && have_result_; }
-
- private:
-  void absorb(const net::SharedBytes& data) {
-    CAF2_ASSERT(data.size() == desc().bytes, "allreduce size mismatch");
-    const Reducer& reducer = desc().reducer;
-    reducer.combine(acc_.mutable_data(), data.data(),
-                    desc().bytes / reducer.elem_size);
-    ++got_;
-  }
-
-  void try_reduce(Image& image) {
-    if (reduce_done_ || got_ < expected_) {
-      return;
-    }
-    reduce_done_ = true;
-    if (team_rank() == 0) {
-      copy_bytes(desc().buf, acc_.data(), acc_.size());
-      have_result_ = true;
-      bcast_payload_ = std::move(acc_);
-      forward(image);
-      mark_data_done(image);
-    } else {
-      send_stage(image, binomial_parent(team_rank()), kStageReduce,
-                 std::move(acc_));
-    }
-  }
-
-  void deliver(Image& image) {
-    CAF2_ASSERT(bcast_payload_.size() == desc().bytes,
-                "allreduce broadcast size mismatch");
-    copy_bytes(desc().buf, bcast_payload_.data(), bcast_payload_.size());
-    pending_bcast_ = false;
-    have_result_ = true;
-    forward(image);
-    mark_data_done(image);
-  }
-
-  void forward(Image& image) {
-    for (int child : binomial_children(team_rank(), team_size())) {
-      send_stage(image, child, kStageBcast, bcast_payload_);
-    }
-    bcast_payload_.reset();
-  }
-
-  bool started_ = false;
-  bool reduce_done_ = false;
-  bool have_result_ = false;
-  bool pending_bcast_ = false;
-  int expected_ = 0;
-  int got_ = 0;
-  net::SharedBytes acc_;
-  net::SharedBytes bcast_payload_;
-  std::vector<net::SharedBytes> pending_reduce_;
+  detail::StageBuffer got_;
 };
 
 /// Binomial gather toward desc().root. Each interior node accumulates its
 /// whole subtree's contributions (tagged with their team ranks) before
 /// sending one combined message to its parent. The subtree of relative rank
 /// vr covers [vr, vr + lowbit(vr)) clipped to p.
-class GatherImpl final : public CollImplBase {
+class BinomialGatherImpl final : public CollImplBase {
  public:
   using CollImplBase::CollImplBase;
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     chunks_.emplace_back(team_rank(),
                          std::vector<std::uint8_t>(
                              static_cast<const std::uint8_t*>(desc().buf),
@@ -357,23 +248,22 @@ class GatherImpl final : public CollImplBase {
     if (team_rank() != desc().root) {
       mark_data_done(image);  // contribution captured
     }
-    for (const net::SharedBytes& pending : pending_msgs_) {
-      absorb(pending);
-    }
-    pending_msgs_.clear();
     try_advance(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_msgs_.push_back(std::move(msg.data));
-      return;
+    ReadArchive archive(msg.data);
+    const auto count = archive.read<std::int32_t>();
+    for (int i = 0; i < count; ++i) {
+      const auto rank = archive.read<std::int32_t>();
+      std::vector<std::uint8_t> chunk(desc().bytes);
+      archive.read_bytes(chunk.data(), chunk.size());
+      chunks_.emplace_back(rank, std::move(chunk));
     }
-    absorb(msg.data);
     try_advance(image);
   }
 
-  bool role_done() const override { return started_ && done_; }
+  bool role_done() const override { return done_; }
 
  private:
   int vrank() const {
@@ -386,17 +276,6 @@ class GatherImpl final : public CollImplBase {
     const int vr = vrank();
     const int low = vr == 0 ? p : (vr & -vr);
     return std::min(low, p - vr);
-  }
-
-  void absorb(std::span<const std::uint8_t> data) {
-    ReadArchive archive(data);
-    const auto count = archive.read<std::int32_t>();
-    for (int i = 0; i < count; ++i) {
-      const auto rank = archive.read<std::int32_t>();
-      std::vector<std::uint8_t> chunk(desc().bytes);
-      archive.read_bytes(chunk.data(), chunk.size());
-      chunks_.emplace_back(rank, std::move(chunk));
-    }
   }
 
   void try_advance(Image& image) {
@@ -424,60 +303,38 @@ class GatherImpl final : public CollImplBase {
     }
   }
 
-  bool started_ = false;
   bool done_ = false;
   std::vector<std::pair<int, std::vector<std::uint8_t>>> chunks_;
-  std::vector<net::SharedBytes> pending_msgs_;
 };
 
 /// Binomial scatter from desc().root: each node receives the packed chunks
 /// of its whole subtree and forwards sub-ranges to its children.
-class ScatterImpl final : public CollImplBase {
+class BinomialScatterImpl final : public CollImplBase {
  public:
   using CollImplBase::CollImplBase;
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
-    if (team_rank() == desc().root) {
-      // Pack [rank, chunk] pairs for the whole team from the send buffer.
-      const auto* in = static_cast<const std::uint8_t*>(desc().buf);
-      const std::size_t chunk = desc().bytes2;
-      std::vector<std::pair<int, std::vector<std::uint8_t>>> all;
-      all.reserve(static_cast<std::size_t>(team_size()));
-      for (int r = 0; r < team_size(); ++r) {
-        all.emplace_back(
-            r, std::vector<std::uint8_t>(
-                   in + static_cast<std::size_t>(r) * chunk,
-                   in + static_cast<std::size_t>(r + 1) * chunk));
-      }
-      distribute(image, all);
-      mark_data_done(image, /*after_stages=*/true);
-      have_chunk_ = true;
-    } else if (!pending_.empty()) {
-      const net::SharedBytes data = std::move(pending_);
-      accept(image, data);
+    if (team_rank() != desc().root) {
+      return;
     }
+    // Pack [rank, chunk] pairs for the whole team from the send buffer.
+    const auto* in = static_cast<const std::uint8_t*>(desc().buf);
+    const std::size_t chunk = desc().bytes2;
+    std::vector<std::pair<int, std::vector<std::uint8_t>>> all;
+    all.reserve(static_cast<std::size_t>(team_size()));
+    for (int r = 0; r < team_size(); ++r) {
+      all.emplace_back(r, std::vector<std::uint8_t>(
+                              in + static_cast<std::size_t>(r) * chunk,
+                              in + static_cast<std::size_t>(r + 1) * chunk));
+    }
+    distribute(image, all);
+    mark_data_done(image, /*after_stages=*/true);
+    have_chunk_ = true;
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_ = std::move(msg.data);
-      return;
-    }
-    accept(image, msg.data);
-  }
-
-  bool role_done() const override { return started_ && have_chunk_; }
-
- private:
-  int vrank() const {
-    const int p = team_size();
-    return (team_rank() - desc().root + p) % p;
-  }
-
-  void accept(Image& image, std::span<const std::uint8_t> data) {
-    ReadArchive archive(data);
+    ReadArchive archive(msg.data);
     const auto count = archive.read<std::int32_t>();
     std::vector<std::pair<int, std::vector<std::uint8_t>>> mine;
     mine.reserve(static_cast<std::size_t>(count));
@@ -494,7 +351,14 @@ class ScatterImpl final : public CollImplBase {
     distribute(image, mine);
     have_chunk_ = true;
     mark_data_done(image);
-    try_complete(image);
+  }
+
+  bool role_done() const override { return have_chunk_; }
+
+ private:
+  int vrank() const {
+    const int p = team_size();
+    return (team_rank() - desc().root + p) % p;
   }
 
   void distribute(
@@ -531,76 +395,7 @@ class ScatterImpl final : public CollImplBase {
     }
   }
 
-  bool started_ = false;
   bool have_chunk_ = false;
-  net::SharedBytes pending_;
-};
-
-/// Direct all-to-all personalized exchange: p-1 tagged sends, p-1 receives.
-class AlltoallImpl final : public CollImplBase {
- public:
-  using CollImplBase::CollImplBase;
-
- protected:
-  void begin(Image& image) override {
-    started_ = true;
-    const std::size_t chunk =
-        desc().bytes / static_cast<std::size_t>(team_size());
-    const auto* in = static_cast<const std::uint8_t*>(desc().buf);
-    // Own chunk moves locally.
-    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
-                   static_cast<std::size_t>(team_rank()) * chunk,
-               in + static_cast<std::size_t>(team_rank()) * chunk, chunk);
-    for (int r = 0; r < team_size(); ++r) {
-      if (r != team_rank()) {
-        send_stage(image, r, 0,
-                   net::SharedBytes::copy_of(
-                       in + static_cast<std::size_t>(r) * chunk, chunk));
-      }
-    }
-    for (auto& [from, data] : pending_) {
-      place(from, data);
-    }
-    pending_.clear();
-    maybe_data_done(image);
-  }
-
-  void handle(Image& image, CollStageMsg&& msg) override {
-    if (!started_) {
-      pending_.emplace_back(msg.from_team_rank, std::move(msg.data));
-      return;
-    }
-    place(msg.from_team_rank, msg.data);
-    maybe_data_done(image);
-  }
-
-  bool role_done() const override {
-    return started_ && received_ == team_size() - 1;
-  }
-
- private:
-  void place(int from, const net::SharedBytes& data) {
-    const std::size_t chunk =
-        desc().bytes2 / static_cast<std::size_t>(team_size());
-    CAF2_ASSERT(data.size() == chunk, "alltoall chunk size mismatch");
-    copy_bytes(static_cast<std::uint8_t*>(desc().buf2) +
-                   static_cast<std::size_t>(from) * chunk,
-               data.data(), data.size());
-    ++received_;
-  }
-
-  /// Local data completion needs both directions: the send buffer injected
-  /// (reads) and every incoming chunk placed (writes) — an alltoall both
-  /// reads and writes initiator-local data.
-  void maybe_data_done(Image& image) {
-    if (received_ == team_size() - 1) {
-      mark_data_done(image, /*after_stages=*/true);
-    }
-  }
-
-  bool started_ = false;
-  int received_ = 0;
-  std::vector<std::pair<int, net::SharedBytes>> pending_;
 };
 
 /// Hillis-Steele inclusive scan: in round k, rank r sends its running
@@ -614,30 +409,19 @@ class ScanImpl final : public CollImplBase {
 
  protected:
   void begin(Image& image) override {
-    started_ = true;
     rounds_ = ceil_log2(team_size());
+    got_.resize(rounds_);
     acc_.assign(static_cast<const std::uint8_t*>(desc().buf),
                 static_cast<const std::uint8_t*>(desc().buf) + desc().bytes);
-    // carry_ = reduction over strictly-lower ranks (identity-free: tracked
-    // with a has_carry_ flag instead of requiring an identity element).
-    got_.resize(static_cast<std::size_t>(rounds_));
     pump(image);
   }
 
   void handle(Image& image, CollStageMsg&& msg) override {
-    const auto k = static_cast<std::size_t>(msg.stage);
-    if (k >= got_.size()) {
-      got_.resize(k + 1);
-    }
-    got_[k] = std::move(msg.data);
-    has_got_.resize(std::max(has_got_.size(), k + 1), false);
-    has_got_[k] = true;
-    if (started_) {
-      pump(image);
-    }
+    got_.store(msg.stage, std::move(msg.data));
+    pump(image);
   }
 
-  bool role_done() const override { return started_ && round_ == rounds_; }
+  bool role_done() const override { return round_ == rounds_; }
 
  private:
   void pump(Image& image) {
@@ -652,12 +436,13 @@ class ScanImpl final : public CollImplBase {
         sent_current_ = true;
       }
       if (team_rank() - dist >= 0) {
-        if (static_cast<std::size_t>(round_) >= has_got_.size() ||
-            !has_got_[static_cast<std::size_t>(round_)]) {
+        if (!got_.has(round_)) {
           return;  // wait for this round's prefix
         }
-        const net::SharedBytes& incoming =
-            got_[static_cast<std::size_t>(round_)];
+        net::SharedBytes& incoming = got_.at(round_);
+        // carry_ = reduction over strictly-lower ranks (identity-free:
+        // tracked with a has_carry_ flag instead of requiring an identity
+        // element).
         if (!has_carry_) {
           carry_.assign(incoming.data(), incoming.data() + incoming.size());
           has_carry_ = true;
@@ -669,6 +454,7 @@ class ScanImpl final : public CollImplBase {
         // accumulator is what later rounds forward.
         desc().reducer.combine(acc_.data(), incoming.data(),
                                acc_.size() / desc().reducer.elem_size);
+        incoming.reset();
       }
       ++round_;
       sent_current_ = false;
@@ -688,123 +474,36 @@ class ScanImpl final : public CollImplBase {
   int rounds_ = 0;
   int round_ = 0;
   bool sent_current_ = false;
-  bool started_ = false;
   bool has_carry_ = false;
   std::vector<std::uint8_t> acc_;
   std::vector<std::uint8_t> carry_;
-  std::vector<net::SharedBytes> got_;
-  std::vector<bool> has_got_;
+  detail::StageBuffer got_;
 };
 
-/// Dispatch on (kind, resolved algorithm). The remaining legacy schedules
-/// live in this file; the tree broadcast/reduce and the alternative families
-/// live in coll_algo_*.cpp behind the detail::make_*_impl factories.
-/// resolve_algorithm() already rejected unsupported pairings and clamped
-/// structurally impossible ones, so an unhandled combination here is a
-/// programming error.
-std::unique_ptr<CollImplBase> make_impl(CollKind kind, CollKey key,
-                                        CollDesc desc) {
-  const CollAlgorithm algorithm = desc.algorithm;
-  switch (kind) {
-    case CollKind::kBarrier:
-      if (algorithm == CollAlgorithm::kBinomialTree) {
-        return detail::make_tree_barrier_impl(key, std::move(desc));
-      }
-      return std::make_unique<BarrierImpl>(key, std::move(desc));
-    case CollKind::kBroadcast:
-    case CollKind::kReduce:
-      return detail::make_tree_impl(key, std::move(desc));
-    case CollKind::kAllreduce:
-      if (algorithm == CollAlgorithm::kRing) {
-        return detail::make_ring_impl(key, std::move(desc));
-      }
-      if (algorithm == CollAlgorithm::kRecursiveDoubling) {
-        return detail::make_rd_impl(key, std::move(desc));
-      }
-      return std::make_unique<AllreduceImpl>(key, std::move(desc));
-    case CollKind::kGather:
-      if (algorithm == CollAlgorithm::kDirect) {
-        return detail::make_direct_impl(key, std::move(desc));
-      }
-      return std::make_unique<GatherImpl>(key, std::move(desc));
-    case CollKind::kScatter:
-      if (algorithm == CollAlgorithm::kDirect) {
-        return detail::make_direct_impl(key, std::move(desc));
-      }
-      return std::make_unique<ScatterImpl>(key, std::move(desc));
-    case CollKind::kAlltoall:
-      return std::make_unique<AlltoallImpl>(key, std::move(desc));
-    case CollKind::kScan:
-      return std::make_unique<ScanImpl>(key, std::move(desc));
-    case CollKind::kSort:
-      return detail::make_sort_impl(key, std::move(desc));
-    case CollKind::kAllgather:
-      if (algorithm == CollAlgorithm::kRecursiveDoubling) {
-        return detail::make_rd_impl(key, std::move(desc));
-      }
-      if (algorithm == CollAlgorithm::kDirect) {
-        return detail::make_direct_impl(key, std::move(desc));
-      }
-      return detail::make_ring_impl(key, std::move(desc));
-    case CollKind::kReduceScatter:
-      if (algorithm == CollAlgorithm::kDirect) {
-        return detail::make_direct_impl(key, std::move(desc));
-      }
-      return detail::make_ring_impl(key, std::move(desc));
-    case CollKind::kGatherv:
-    case CollKind::kScatterv:
-    case CollKind::kAlltoallv:
-      return detail::make_direct_impl(key, std::move(desc));
-  }
-  throw UsageError("unknown collective kind");
-}
-
-/// Per-kind cofence classification: does the operation read / write
-/// initiator-local data? (paper Fig. 4 rows)
-void classify(const CollDesc& desc, bool& reads, bool& writes) {
-  switch (desc.kind) {
-    case CollKind::kBarrier:
-      reads = writes = false;
-      break;
-    case CollKind::kBroadcast:
-      reads = desc.team.rank() == desc.root;
-      writes = !reads;
-      break;
-    case CollKind::kReduce:
-      reads = true;
-      writes = desc.team.rank() == desc.root;
-      break;
-    case CollKind::kAllreduce:
-    case CollKind::kScan:
-    case CollKind::kAlltoall:
-    case CollKind::kSort:
-      reads = writes = true;
-      break;
-    case CollKind::kGather:
-      reads = true;
-      writes = desc.team.rank() == desc.root;
-      break;
-    case CollKind::kScatter:
-      reads = desc.team.rank() == desc.root;
-      writes = true;
-      break;
-    case CollKind::kAllgather:
-    case CollKind::kReduceScatter:
-    case CollKind::kAlltoallv:
-      reads = writes = true;
-      break;
-    case CollKind::kGatherv:
-      reads = true;
-      writes = desc.team.rank() == desc.root;
-      break;
-    case CollKind::kScatterv:
-      reads = desc.team.rank() == desc.root;
-      writes = true;
-      break;
-  }
-}
-
 }  // namespace
+
+namespace detail {
+
+std::unique_ptr<CollImplBase> make_dissemination_barrier(CollKey key,
+                                                         CollDesc desc) {
+  return std::make_unique<DisseminationBarrierImpl>(key, std::move(desc));
+}
+
+std::unique_ptr<CollImplBase> make_binomial_gather(CollKey key,
+                                                   CollDesc desc) {
+  return std::make_unique<BinomialGatherImpl>(key, std::move(desc));
+}
+
+std::unique_ptr<CollImplBase> make_binomial_scatter(CollKey key,
+                                                    CollDesc desc) {
+  return std::make_unique<BinomialScatterImpl>(key, std::move(desc));
+}
+
+std::unique_ptr<CollImplBase> make_scan(CollKey key, CollDesc desc) {
+  return std::make_unique<ScanImpl>(key, std::move(desc));
+}
+
+}  // namespace detail
 
 void start_collective(CollDesc desc) {
   Image& image = Image::current();
@@ -832,7 +531,7 @@ void start_collective(CollDesc desc) {
   if (implicit) {
     bool reads = false;
     bool writes = false;
-    classify(desc, reads, writes);
+    detail::classify(desc, reads, writes);
     op = image.register_implicit(reads, writes, "collective");
     finish = image.current_finish();
     if (finish.valid()) {
@@ -847,8 +546,11 @@ void start_collective(CollDesc desc) {
   const CollKey key{desc.team.id(), image.next_coll_seq(desc.team.id())};
   rt::PendingColl& pending = image.coll_state(key);
   CAF2_ASSERT(pending.op == nullptr, "collective sequence collision");
-  auto impl = make_impl(desc.kind, key, desc);
-  auto* raw = static_cast<CollImplBase*>(impl.get());
+  const detail::CollFactory make =
+      detail::find_factory(desc.kind, desc.algorithm);
+  CAF2_ASSERT(make != nullptr, "collective schedule resolved to no pattern");
+  auto impl = make(key, std::move(desc));
+  detail::CollImplBase* raw = impl.get();
   pending.op = std::move(impl);
   raw->start(image, finish, std::move(op));
 

@@ -15,12 +15,15 @@
 ///
 /// Algorithms (DESIGN.md §4.13): every collective kind maps to one or more
 /// selectable *schedules* — binomial tree, radix-4 k-nomial tree, ring,
-/// recursive doubling, dissemination, direct pairwise — implemented over a
-/// shared stage-message state machine. CollOptions::algorithm picks one;
-/// the default CollAlgorithm::kAuto consults a selection table (built-in
-/// heuristics, or a table measured by `bench_collectives --tune` and loaded
-/// with ops::load_selection_table_file / RuntimeOptions::coll_selection_table)
-/// so the winner can depend on payload size and team size.
+/// recursive doubling, dissemination, direct pairwise. One pairing table
+/// (coll_algo.cpp) maps each (kind, schedule) to a data-movement pattern —
+/// tree, ring, direct exchange and a few single-kind schedules — and each
+/// pattern is one stage-message state machine. CollOptions::algorithm picks
+/// a schedule; the default CollAlgorithm::kAuto consults a selection table
+/// (the built-in defaults, or a table measured by `bench_collectives
+/// --tune` and loaded with ops::load_selection_table_file /
+/// RuntimeOptions::coll_selection_table) so the winner can depend on
+/// payload size and team size.
 
 #include <algorithm>
 #include <cstring>
@@ -432,6 +435,11 @@ void alltoallv_async(const Team& team, std::span<const T> send,
                                               recv_counts.end(),
                                               std::size_t{0}),
                "alltoallv_async: receive extent != sum of recv_counts");
+  const auto me = static_cast<std::size_t>(team.rank());
+  CAF2_REQUIRE(send_counts[me] == recv_counts[me],
+               "alltoallv_async: send_counts[" + std::to_string(me) +
+                   "] != recv_counts[" + std::to_string(me) +
+                   "] for the local pair");
   ops::CollDesc desc;
   desc.kind = ops::CollKind::kAlltoallv;
   desc.team = team;

@@ -519,7 +519,7 @@ TEST(ExtCollectives, NewCollectivesComposeWithFinishAndCofence) {
 
 /// --- rooted-entry validation ------------------------------------------------
 
-TEST(ExtCollectives, OutOfRangeRootIsAUsageErrorNamingTheCollective) {
+TEST(ExtCollectives, BadEntryArgumentIsAUsageErrorNamingTheCollective) {
   run(ext_options(3), [] {
     Team world = team_world();
     std::vector<int> buf(1);
@@ -552,6 +552,14 @@ TEST(ExtCollectives, OutOfRangeRootIsAUsageErrorNamingTheCollective) {
     });
     expect_named("scatterv_async", [&] {
       scatterv_async<int>(world, buf, counts, buf, negative);
+    });
+    // alltoallv: the local pair's send and receive counts must agree.
+    std::vector<int> send(3);
+    std::vector<int> recv(4);
+    std::vector<std::size_t> recv_counts(3, 1);
+    recv_counts[static_cast<std::size_t>(world.rank())] = 2;
+    expect_named("alltoallv_async", [&] {
+      alltoallv_async<int>(world, send, counts, recv, recv_counts);
     });
     team_barrier(world);
   });
@@ -607,6 +615,37 @@ TEST(CollSelection, JsonRoundTripAndNearestBucketLookup) {
   EXPECT_THROW(ops::CollSelectionTable::from_json("{\"entries\": [{}]}"),
                UsageError);
   EXPECT_THROW(ops::CollSelectionTable::from_json("not json"), UsageError);
+
+  // Numbers outside what a bucket can hold are UsageErrors naming the field.
+  const auto entry_json = [](const std::string& fields) {
+    return "{\"entries\": [{\"collective\": \"allreduce\", " + fields +
+           ", \"algorithm\": \"ring\"}]}";
+  };
+  const auto expect_field_error = [&](const std::string& fields,
+                                      const char* field) {
+    try {
+      (void)ops::CollSelectionTable::from_json(entry_json(fields));
+      ADD_FAILURE() << fields << ": accepted";
+    } catch (const UsageError& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << "actual message: " << error.what();
+    }
+  };
+  expect_field_error("\"log2_images\": 31, \"log2_bytes\": 3", "log2_images");
+  expect_field_error("\"log2_images\": 4, \"log2_bytes\": 64", "log2_bytes");
+  expect_field_error("\"log2_images\": 4, \"log2_bytes\": -1", "log2_bytes");
+  expect_field_error(
+      "\"log2_images\": 99999999999999999999, \"log2_bytes\": 3",
+      "log2_images");
+  expect_field_error(
+      "\"log2_images\": 4, \"log2_bytes\": 3, \"weight\": "
+      "-99999999999999999999",
+      "weight");
+  // The largest buckets that fit are accepted.
+  EXPECT_EQ(ops::CollSelectionTable::from_json(
+                entry_json("\"log2_images\": 30, \"log2_bytes\": 63"))
+                .size(),
+            1u);
 }
 
 /// Auto demonstrably follows the loaded table: with a table mapping small
@@ -708,9 +747,8 @@ RuntimeOptions matrix_options(int shards) {
   return options;
 }
 
-/// One run of every multi-algorithm collective pinned to \p algo (skipping
-/// kinds that don't support it), capturing the engine trace and image 0's
-/// result data.
+/// One run of every collective kind pinned to \p algo (skipping kinds that
+/// don't support it), capturing the engine trace and image 0's result data.
 CollFingerprint coll_fingerprint(const RuntimeOptions& options,
                                  CollAlgorithm algo) {
   rt::Runtime runtime(options);
@@ -770,6 +808,129 @@ CollFingerprint coll_fingerprint(const RuntimeOptions& options,
       done.wait();
       sink.insert(sink.end(), buf.begin(), buf.end());
     });
+    run_kind(ops::CollKind::kReduce, [&] {
+      std::vector<long> buf{world.rank() + 1L, world.rank() * 5L};
+      Event done;
+      reduce_async<long>(world, buf, 2, RedOp::kSum,
+                         {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+      sink.insert(sink.end(), buf.begin(), buf.end());
+    });
+    run_kind(ops::CollKind::kGather, [&] {
+      std::vector<long> send{world.rank() * 3L, world.rank() + 4L};
+      std::vector<long> recv(
+          world.rank() == 2 ? static_cast<std::size_t>(2 * p) : 0, -1);
+      Event done;
+      gather_async<long>(world, send, recv, 2,
+                         {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+      sink.insert(sink.end(), recv.begin(), recv.end());
+    });
+    run_kind(ops::CollKind::kScatter, [&] {
+      std::vector<long> send;
+      if (world.rank() == 2) {
+        send.resize(static_cast<std::size_t>(2 * p));
+        std::iota(send.begin(), send.end(), 40L);
+      }
+      std::vector<long> recv(2, -1);
+      Event done;
+      scatter_async<long>(world, send, recv, 2,
+                          {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+      sink.insert(sink.end(), recv.begin(), recv.end());
+    });
+    run_kind(ops::CollKind::kAlltoall, [&] {
+      std::vector<long> send(static_cast<std::size_t>(p));
+      for (int j = 0; j < p; ++j) {
+        send[static_cast<std::size_t>(j)] = world.rank() * 100L + j;
+      }
+      std::vector<long> recv(static_cast<std::size_t>(p), -1);
+      Event done;
+      alltoall_async<long>(world, send, recv,
+                           {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+      sink.insert(sink.end(), recv.begin(), recv.end());
+    });
+    run_kind(ops::CollKind::kScan, [&] {
+      for (const bool exclusive : {false, true}) {
+        std::vector<long> buf{world.rank() + 1L, 2L};
+        Event done;
+        scan_async<long>(world, buf, RedOp::kSum, exclusive,
+                         {.local_done = done.handle(), .algorithm = algo});
+        done.wait();
+        sink.insert(sink.end(), buf.begin(), buf.end());
+      }
+    });
+    // Variable counts: rank r contributes r % 3 elements (zero included).
+    std::vector<std::size_t> counts(static_cast<std::size_t>(p));
+    for (int r = 0; r < p; ++r) {
+      counts[static_cast<std::size_t>(r)] = static_cast<std::size_t>(r % 3);
+    }
+    const std::size_t total =
+        std::accumulate(counts.begin(), counts.end(), std::size_t{0});
+    const std::size_t mine = counts[static_cast<std::size_t>(world.rank())];
+    run_kind(ops::CollKind::kGatherv, [&] {
+      std::vector<long> send(mine, world.rank() * 11L);
+      std::vector<long> recv(world.rank() == 2 ? total : 0, -1);
+      Event done;
+      gatherv_async<long>(world, send, recv, counts, 2,
+                          {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+      sink.insert(sink.end(), recv.begin(), recv.end());
+    });
+    run_kind(ops::CollKind::kScatterv, [&] {
+      std::vector<long> send;
+      if (world.rank() == 2) {
+        send.resize(total);
+        std::iota(send.begin(), send.end(), 70L);
+      }
+      std::vector<long> recv(mine, -1);
+      Event done;
+      scatterv_async<long>(world, send, counts, recv, 2,
+                           {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+      sink.insert(sink.end(), recv.begin(), recv.end());
+    });
+    run_kind(ops::CollKind::kAlltoallv, [&] {
+      // Rank r sends (r + j) % 3 elements to rank j.
+      std::vector<std::size_t> send_counts(static_cast<std::size_t>(p));
+      std::vector<std::size_t> recv_counts(static_cast<std::size_t>(p));
+      for (int j = 0; j < p; ++j) {
+        send_counts[static_cast<std::size_t>(j)] =
+            static_cast<std::size_t>((world.rank() + j) % 3);
+        recv_counts[static_cast<std::size_t>(j)] =
+            static_cast<std::size_t>((j + world.rank()) % 3);
+      }
+      std::vector<long> send(
+          std::accumulate(send_counts.begin(), send_counts.end(),
+                          std::size_t{0}));
+      std::iota(send.begin(), send.end(), world.rank() * 1000L);
+      std::vector<long> recv(
+          std::accumulate(recv_counts.begin(), recv_counts.end(),
+                          std::size_t{0}),
+          -1);
+      Event done;
+      alltoallv_async<long>(world, send, send_counts, recv, recv_counts,
+                            {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+      sink.insert(sink.end(), recv.begin(), recv.end());
+    });
+    run_kind(ops::CollKind::kSort, [&] {
+      std::vector<long> keys(static_cast<std::size_t>(world.rank() % 3 + 1));
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        keys[i] = (world.rank() * 37L + static_cast<long>(i) * 11L) % 23L;
+      }
+      Event done;
+      sort_async<long>(world, keys,
+                       {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+      sink.insert(sink.end(), keys.begin(), keys.end());
+    });
+    run_kind(ops::CollKind::kBarrier, [&] {
+      Event done;
+      barrier_async(world, {.local_done = done.handle(), .algorithm = algo});
+      done.wait();
+    });
     team_barrier(world);
     if (world.rank() == 0) {
       fp.result = sink;
@@ -812,7 +973,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CollAlgorithm::kBinomialTree,
                       CollAlgorithm::kKnomialTree, CollAlgorithm::kRing,
                       CollAlgorithm::kRecursiveDoubling,
-                      CollAlgorithm::kDirect),
+                      CollAlgorithm::kDissemination, CollAlgorithm::kDirect),
     [](const ::testing::TestParamInfo<CollAlgorithm>& info) {
       std::string name = to_string(info.param);
       std::replace(name.begin(), name.end(), '-', '_');
