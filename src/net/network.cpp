@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "obs/flight_recorder.hpp"
@@ -15,6 +16,24 @@ Network::Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed)
       mailboxes_(static_cast<std::size_t>(engine.size())),
       traffic_(static_cast<std::size_t>(engine.size())) {
   params_.validate();
+  // A fault-plan endpoint past the image count names a link that can never
+  // carry a message: the entry would silently never fire.
+  const auto require_image = [&](int rank, const char* list, std::size_t i,
+                                 const char* field) {
+    CAF2_REQUIRE(rank < engine.size(),
+                 std::string("Network: faults.") + list + "[" +
+                     std::to_string(i) + "]." + field + " = " +
+                     std::to_string(rank) + " is not an image (" +
+                     std::to_string(engine.size()) + " images)");
+  };
+  for (std::size_t i = 0; i < params_.faults.scripted.size(); ++i) {
+    require_image(params_.faults.scripted[i].source, "scripted", i, "source");
+    require_image(params_.faults.scripted[i].dest, "scripted", i, "dest");
+  }
+  for (std::size_t i = 0; i < params_.faults.links.size(); ++i) {
+    require_image(params_.faults.links[i].source, "links", i, "source");
+    require_image(params_.faults.links[i].dest, "links", i, "dest");
+  }
   reliable_ = params_.reliable_delivery();
   faults_active_ = params_.faults.active();
   // One jitter and one fault stream per shard. The fault stream is
@@ -61,6 +80,11 @@ const Mailbox& Network::mailbox(int image) const {
   return mailboxes_[static_cast<std::size_t>(image)];
 }
 
+const ImageTraffic& Network::traffic(int image) const {
+  CAF2_REQUIRE(image >= 0 && image < size(), "traffic(): image out of range");
+  return traffic_[static_cast<std::size_t>(image)];
+}
+
 void Network::reset_traffic() {
   for (ImageTraffic& t : traffic_) {
     t = ImageTraffic{};
@@ -73,10 +97,6 @@ Xoshiro256ss& Network::jitter_rng() {
 
 Xoshiro256ss& Network::fault_rng() {
   return shard_fault_[static_cast<std::size_t>(engine_.current_shard())];
-}
-
-bool Network::cross_shard(int source, int dest) const {
-  return engine_.shard_of(source) != engine_.shard_of(dest);
 }
 
 FaultStats Network::fault_stats() const {
@@ -142,67 +162,69 @@ void Network::account_send(const Message& message) {
   }
 }
 
-void Network::run_deliver_phase(Flight flight) {
-  const int source = flight.message.header.source;
-  const std::size_t dest = static_cast<std::size_t>(flight.message.header.dest);
-  const std::size_t bytes = flight.message.size_bytes();
-  traffic_[dest].messages_in += 1;
-  traffic_[dest].bytes_in += bytes;
+std::uint64_t Network::land(Message message, double init_us,
+                            double expected_us) {
+  const int source = message.header.source;
+  const int dest = message.header.dest;
+  const std::size_t bytes = message.size_bytes();
   const std::uint64_t handler =
-      static_cast<std::uint64_t>(flight.message.header.handler);
-  mailboxes_[dest].push(std::move(flight.message));
-  engine_.unblock(static_cast<int>(dest));
+      static_cast<std::uint64_t>(message.header.handler);
+  Mailbox& mailbox = mailboxes_[static_cast<std::size_t>(dest)];
+  traffic_[static_cast<std::size_t>(dest)].messages_in += 1;
+  traffic_[static_cast<std::size_t>(dest)].bytes_in += bytes;
+  mailbox.push(std::move(message));
+  engine_.unblock(dest);
+  const double now = engine_.now();
   if (flight_recorder_ != nullptr) {
-    flight_recorder_->record(static_cast<int>(dest), engine_.now(),
-                             obs::FrKind::kDeliver, source, bytes, handler);
+    flight_recorder_->record(dest, now, obs::FrKind::kDeliver, source, bytes,
+                             handler);
   }
-  std::uint64_t span = 0;
-  if (observer_ != nullptr) {
-    const double now = engine_.now();
-    span = observer_->flight_span(source, static_cast<int>(dest),
-                                  flight.init_us, now, bytes,
-                                  engine_.current_shard());
-    observer_->note_cause(static_cast<int>(dest), span);
-    observer_->add(static_cast<int>(dest), obs::Counter::kMessagesDelivered);
-    observer_->maxed(static_cast<int>(dest), obs::Counter::kMailboxHighWater,
-                     mailboxes_[dest].size());
-    observer_->observe(static_cast<int>(dest), obs::Hist::kMessageLatency,
-                       now - flight.init_us);
+  if (observer_ == nullptr) {
+    return 0;
   }
-  if (flight.has_ack) {
-    if (flight.timing.ack_at == flight.timing.deliver_at) {
-      // Zero ack latency: completion is observable at delivery time, and the
-      // reserved ack sequence number immediately follows the delivery's, so
-      // running it inline preserves the dispatch order exactly.
-      if (observer_ != nullptr) {
-        observer_->note_cause(source, span);
-      }
-      flight.callbacks.on_acked();
-    } else if (observer_ == nullptr) {
-      engine_.post_reserved(flight.timing.ack_at, flight.ack_seq,
-                            std::move(flight.callbacks.on_acked));
-    } else {
-      // Same event, same (at, seq); the wrapper only notes the cause first.
-      engine_.post_reserved(
-          flight.timing.ack_at, flight.ack_seq,
-          [this, source, span,
-           acked = std::move(flight.callbacks.on_acked)] {
-            observer_->note_cause(source, span);
-            acked();
-          });
-    }
+  // Spans land on the calling (destination) shard's net lane.
+  const int lane = engine_.current_shard();
+  const std::uint64_t span =
+      observer_->flight_span(source, dest, init_us, now, bytes, lane);
+  observer_->note_cause(dest, span);
+  observer_->add(dest, obs::Counter::kMessagesDelivered);
+  observer_->maxed(dest, obs::Counter::kMailboxHighWater, mailbox.size());
+  observer_->observe(dest, obs::Hist::kMessageLatency, now - init_us);
+  if (now > expected_us + 1e-9) {
+    // The paper's satellite claim: time a fault added shows up as network
+    // blame, not as whatever construct happened to be waiting.
+    observer_->retransmit_span(dest, source, expected_us, now, lane);
   }
+  return span;
 }
 
-void Network::schedule_deliver(Flight flight) {
+void Network::deliver(Flight flight) {
+  const int source = flight.message.header.source;
+  const std::uint64_t span =
+      land(std::move(flight.message), flight.init_us,
+           std::numeric_limits<double>::infinity());
+  if (!flight.callbacks.on_acked) {
+    return;
+  }
+  engine_.post_for(source, flight.timing.ack_at,
+                   [this, source, span,
+                    acked = std::move(flight.callbacks.on_acked)] {
+                     if (observer_ != nullptr && span != 0) {
+                       observer_->note_cause(source, span);
+                     }
+                     acked();
+                   });
+}
+
+void Network::post_deliver(Flight flight) {
+  const int dest = flight.message.header.dest;
   const double at = flight.timing.deliver_at;
-  const std::uint64_t seq = flight.deliver_seq;
-  auto deliver = [this, f = std::move(flight)]() mutable {
-    run_deliver_phase(std::move(f));
+  auto deliver_phase = [this, f = std::move(flight)]() mutable {
+    deliver(std::move(f));
   };
-  static_assert(sizeof(deliver) <= sim::InlineFn::kInlineBytes,
+  static_assert(sizeof(deliver_phase) <= sim::InlineFn::kInlineBytes,
                 "the deliver closure must stay in InlineFn storage");
-  engine_.post_reserved(at, seq, std::move(deliver));
+  engine_.post_for(dest, at, std::move(deliver_phase));
 }
 
 void Network::send(Message message, SendCallbacks callbacks) {
@@ -212,56 +234,30 @@ void Network::send(Message message, SendCallbacks callbacks) {
     send_reliable(std::move(message), std::move(callbacks));
     return;
   }
-  if (cross_shard(message.header.source, message.header.dest)) {
-    send_cross(std::move(message), std::move(callbacks));
-    return;
-  }
   Flight flight;
   flight.init_us = engine_.now();
   flight.timing = plan(flight.init_us, message.size_bytes());
   flight.message = std::move(message);
   flight.callbacks = std::move(callbacks);
   account_send(flight.message);
-
-  // Reserve the chain's sequence numbers in the order the seed posted its
-  // events (stage, deliver, ack) so dispatch order is unchanged.
-  const bool has_stage = flight.callbacks.on_staged != nullptr;
-  std::uint64_t stage_seq = 0;
-  if (has_stage) {
-    stage_seq = engine_.reserve_seq();
-  }
-  flight.deliver_seq = engine_.reserve_seq();
-  flight.has_ack = flight.callbacks.on_acked != nullptr;
-  if (flight.has_ack) {
-    flight.ack_seq = engine_.reserve_seq();
-  }
-
-  if (!has_stage) {
-    schedule_deliver(std::move(flight));
+  if (!flight.callbacks.on_staged) {
+    post_deliver(std::move(flight));
     return;
   }
-  const bool merge_deliver =
-      flight.timing.stage_at == flight.timing.deliver_at;
   const double stage_at = flight.timing.stage_at;
-  auto stage = [this, f = std::move(flight), merge_deliver]() mutable {
+  auto stage = [this, f = std::move(flight)]() mutable {
     f.callbacks.on_staged();
     f.callbacks.on_staged = nullptr;
-    if (merge_deliver) {
-      // The delivery's reserved sequence number directly follows the
-      // stage's, so nothing can dispatch between them: run it inline.
-      run_deliver_phase(std::move(f));
-    } else {
-      schedule_deliver(std::move(f));
-    }
+    post_deliver(std::move(f));
   };
-  // Size cliff (this closure is 192 B): past kInlineBytes it would be
-  // heap-allocated on every send. Measured on ring4k, a 16-byte bulk handle made this 208 B
-  // and heap-allocated 90,112 closures; an alltoallv-only collectives run
-  // was then ~20% slower. Raising kInlineBytes to 224 instead cost ring4k
-  // +17 MB of peak RSS.
+  // Size cliff: past kInlineBytes this closure would be heap-allocated on
+  // every send. Measured on ring4k, a 16-byte bulk handle once pushed it
+  // past the limit and heap-allocated 90,112 closures; an alltoallv-only
+  // collectives run was then ~20% slower. Raising kInlineBytes to 224
+  // instead cost ring4k +17 MB of peak RSS.
   static_assert(sizeof(stage) <= sim::InlineFn::kInlineBytes,
                 "the stage closure must stay in InlineFn storage");
-  engine_.post_reserved(stage_at, stage_seq, std::move(stage));
+  engine_.post(stage_at, std::move(stage));
 }
 
 void Network::send_staged(MessageHeader header, std::size_t size_hint,
@@ -275,134 +271,28 @@ void Network::send_staged(MessageHeader header, std::size_t size_hint,
                          std::move(callbacks));
     return;
   }
-  if (cross_shard(header.source, header.dest)) {
-    send_staged_cross(header, size_hint, std::move(read),
-                      std::move(callbacks));
-    return;
-  }
   const double init_us = engine_.now();
   const Timing timing = plan(init_us, size_hint);
-
   // At staging time the network reads the source buffer; only then does the
   // message exist as an independent payload. Overwriting the source buffer
   // before local data completion corrupts the transfer, as on real RDMA
   // hardware.
-  const std::uint64_t stage_seq = engine_.reserve_seq();
-  engine_.post_reserved(
-      timing.stage_at, stage_seq,
-      [this, header, timing, init_us, read = std::move(read),
-       callbacks = std::move(callbacks)]() mutable {
-        Flight flight;
-        flight.message.header = header;
-        flight.message.payload = read();
-        flight.callbacks = std::move(callbacks);
-        flight.timing = timing;
-        flight.init_us = init_us;
-        if (flight.callbacks.on_staged) {
-          flight.callbacks.on_staged();
-          flight.callbacks.on_staged = nullptr;
-        }
-        // The seed allocated deliver/ack sequence numbers only here, after
-        // on_staged ran — events on_staged posted at the delivery time must
-        // dispatch before the delivery, so the delivery stays a separate
-        // event even when stage_at == deliver_at.
-        flight.deliver_seq = engine_.reserve_seq();
-        flight.has_ack = flight.callbacks.on_acked != nullptr;
-        if (flight.has_ack) {
-          flight.ack_seq = engine_.reserve_seq();
-        }
-        account_send(flight.message);
-        schedule_deliver(std::move(flight));
-      });
-}
-
-/// --- cross-shard delivery ----------------------------------------------------
-///
-/// Source and destination live on different shards of a sharded engine
-/// (DESIGN.md §4.11). The timing plan is drawn at initiation from the source
-/// shard's jitter stream; on_staged and on_acked run on the source shard at
-/// their planned times, and only the delivery itself crosses shards, staged
-/// into the destination's inbox via Engine::post_for(). Best-effort delivery
-/// cannot fail, so the ack is scheduled at plan time — and deliver_at >=
-/// now + latency_us >= now + lookahead keeps the conservative-window
-/// contract by construction (the runtime derives the lookahead from the
-/// wire latency).
-
-void Network::deliver_cross(Message message, double init_us) {
-  const int source = message.header.source;
-  const std::size_t dest = static_cast<std::size_t>(message.header.dest);
-  const std::size_t bytes = message.size_bytes();
-  const std::uint64_t handler =
-      static_cast<std::uint64_t>(message.header.handler);
-  traffic_[dest].messages_in += 1;
-  traffic_[dest].bytes_in += bytes;
-  mailboxes_[dest].push(std::move(message));
-  engine_.unblock(static_cast<int>(dest));
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->record(static_cast<int>(dest), engine_.now(),
-                             obs::FrKind::kDeliver, source, bytes, handler);
-  }
-  if (observer_ != nullptr) {
-    // The flight span lands on the *destination* shard's net lane; the
-    // source-side ack wake keeps no parent link (the span id would have to
-    // cross shards), which only costs the blame analyzer one ack-edge.
-    const double now = engine_.now();
-    const std::uint64_t span =
-        observer_->flight_span(source, static_cast<int>(dest), init_us, now,
-                               bytes, engine_.current_shard());
-    observer_->note_cause(static_cast<int>(dest), span);
-    observer_->add(static_cast<int>(dest), obs::Counter::kMessagesDelivered);
-    observer_->maxed(static_cast<int>(dest), obs::Counter::kMailboxHighWater,
-                     mailboxes_[dest].size());
-    observer_->observe(static_cast<int>(dest), obs::Hist::kMessageLatency,
-                       now - init_us);
-  }
-}
-
-void Network::send_cross(Message message, SendCallbacks callbacks) {
-  const double init_us = engine_.now();
-  const Timing timing = plan(init_us, message.size_bytes());
-  account_send(message);
-  const int dest = message.header.dest;
-  if (callbacks.on_staged) {
-    engine_.post(timing.stage_at, std::move(callbacks.on_staged));
-  }
-  engine_.post_for(dest, timing.deliver_at,
-                   [this, init_us, msg = std::move(message)]() mutable {
-                     deliver_cross(std::move(msg), init_us);
-                   });
-  if (callbacks.on_acked) {
-    engine_.post(timing.ack_at, std::move(callbacks.on_acked));
-  }
-}
-
-void Network::send_staged_cross(
-    MessageHeader header, std::size_t size_hint,
-    std::function<std::vector<std::uint8_t>()> read,
-    SendCallbacks callbacks) {
-  const double init_us = engine_.now();
-  const Timing timing = plan(init_us, size_hint);
-  // As on the legacy path, the source buffer is read at staging time: the
-  // "overwrite before cofence()" hazard stays real across shards.
-  engine_.post(timing.stage_at,
-               [this, header, timing, init_us, read = std::move(read),
-                callbacks = std::move(callbacks)]() mutable {
-                 Message message;
-                 message.header = header;
-                 message.payload = read();
-                 if (callbacks.on_staged) {
-                   callbacks.on_staged();
-                 }
-                 account_send(message);
-                 engine_.post_for(header.dest, timing.deliver_at,
-                                  [this, init_us,
-                                   msg = std::move(message)]() mutable {
-                                    deliver_cross(std::move(msg), init_us);
-                                  });
-                 if (callbacks.on_acked) {
-                   engine_.post(timing.ack_at, std::move(callbacks.on_acked));
-                 }
-               });
+  engine_.post(timing.stage_at, [this, header, timing, init_us,
+                                 read = std::move(read),
+                                 callbacks = std::move(callbacks)]() mutable {
+    Flight flight;
+    flight.message.header = header;
+    flight.message.payload = read();
+    flight.callbacks = std::move(callbacks);
+    flight.timing = timing;
+    flight.init_us = init_us;
+    if (flight.callbacks.on_staged) {
+      flight.callbacks.on_staged();
+      flight.callbacks.on_staged = nullptr;
+    }
+    account_send(flight.message);
+    post_deliver(std::move(flight));
+  });
 }
 
 /// --- reliable-delivery protocol ----------------------------------------------
@@ -532,34 +422,23 @@ void Network::start_attempt(std::uint64_t id) {
   flight.attempts += 1;
 
   const AttemptFaults faults = roll_faults(flight);
-  const int fault_source = flight.message->header.source;
-  if (faults.drop) {
-    cell.stats.deliveries_dropped += 1;
+  const auto charge = [&](bool fired, std::uint64_t& counter,
+                          obs::FrKind kind) {
+    if (!fired) {
+      return;
+    }
+    counter += 1;
     if (flight_recorder_ != nullptr) {
-      flight_recorder_->record(fault_source, engine_.now(),
-                               obs::FrKind::kFaultDrop,
-                               flight.message->header.dest, flight.seq,
+      flight_recorder_->record(flight.message->header.source, engine_.now(),
+                               kind, flight.message->header.dest, flight.seq,
                                static_cast<std::uint64_t>(flight.attempts));
     }
-  }
-  if (faults.duplicate) {
-    cell.stats.deliveries_duplicated += 1;
-    if (flight_recorder_ != nullptr) {
-      flight_recorder_->record(fault_source, engine_.now(),
-                               obs::FrKind::kFaultDuplicate,
-                               flight.message->header.dest, flight.seq,
-                               static_cast<std::uint64_t>(flight.attempts));
-    }
-  }
-  if (faults.extra_delay_us > 0.0) {
-    cell.stats.deliveries_delayed += 1;
-    if (flight_recorder_ != nullptr) {
-      flight_recorder_->record(fault_source, engine_.now(),
-                               obs::FrKind::kFaultDelay,
-                               flight.message->header.dest, flight.seq,
-                               static_cast<std::uint64_t>(flight.attempts));
-    }
-  }
+  };
+  charge(faults.drop, cell.stats.deliveries_dropped, obs::FrKind::kFaultDrop);
+  charge(faults.duplicate, cell.stats.deliveries_duplicated,
+         obs::FrKind::kFaultDuplicate);
+  charge(faults.extra_delay_us > 0.0, cell.stats.deliveries_delayed,
+         obs::FrKind::kFaultDelay);
 
   // The first attempt is launched at staging time (injection already
   // elapsed); retransmissions re-inject the payload from scratch.
@@ -574,83 +453,12 @@ void Network::start_attempt(std::uint64_t id) {
   }
   const double deliver_at = base + params_.latency_us + faults.jitter_us +
                             faults.extra_delay_us;
-  const MessageHeader& header = flight.message->header;
-  if (!cross_shard(header.source, header.dest)) {
-    if (!faults.drop) {
-      engine_.post(deliver_at, [this, message = flight.message,
-                                seq = flight.seq, id,
-                                ack_dropped = faults.ack_drop] {
-        deliver_attempt(message, seq, id, ack_dropped);
-      });
-    }
-    if (faults.duplicate) {
-      engine_.post(deliver_at + faults.dup_offset_us,
-                   [this, message = flight.message, seq = flight.seq, id,
-                    ack_dropped = faults.dup_ack_drop] {
-                     deliver_attempt(message, seq, id, ack_dropped);
-                   });
-    }
-  } else {
-    // Cross-shard attempt (DESIGN.md §4.12): the deliveries go through the
-    // destination shard's inbox carrying their metadata in the closure, and
-    // the sender simulates the acks itself. Every fault decision — including
-    // both ack losses — was just rolled above, and the receiver acks every
-    // non-dropped physical delivery unconditionally (dedup outcome included),
-    // so each delivery's ack time is already known here: the delivery time
-    // plus the ack latency. handle_ack is idempotent, so simulating both
-    // acks is exactly the legacy protocol without any event crossing back
-    // against the conservative window (the ack latency may be below the
-    // lookahead). deliver_at >= now + latency_us >= now + lookahead keeps
-    // the forward direction legal.
-    const double ack_latency = params_.effective_ack_latency_us();
-    if (!faults.drop) {
-      engine_.post_for(header.dest, deliver_at,
-                       [this, message = flight.message, seq = flight.seq,
-                        first_sent = flight.first_sent_us,
-                        expected = flight.expected_deliver_us] {
-                         deliver_attempt_cross(message, seq, first_sent,
-                                               expected);
-                       });
-      if (faults.ack_drop) {
-        // Charged at roll time on the sender's ring (the receiver can't
-        // touch source-shard counters); totals match the legacy protocol
-        // because every launched non-dropped delivery lands. The entry is
-        // stamped `deliver_at` — the time the same-shard path records the
-        // drop from inside deliver_attempt — so time-windowed postmortem
-        // analysis sees one timeline regardless of path; recording may not
-        // schedule events (flight_recorder.hpp), so the ring's insertion
-        // order can run locally ahead of this future stamp.
-        cell.stats.acks_dropped += 1;
-        if (flight_recorder_ != nullptr) {
-          flight_recorder_->record(header.source, deliver_at,
-                                   obs::FrKind::kFaultAckLoss, header.dest,
-                                   flight.seq, 0);
-        }
-      } else {
-        engine_.post(deliver_at + ack_latency,
-                     [this, id] { handle_ack(id); });
-      }
-    }
-    if (faults.duplicate) {
-      const double dup_at = deliver_at + faults.dup_offset_us;
-      engine_.post_for(header.dest, dup_at,
-                       [this, message = flight.message, seq = flight.seq,
-                        first_sent = flight.first_sent_us,
-                        expected = flight.expected_deliver_us] {
-                         deliver_attempt_cross(message, seq, first_sent,
-                                               expected);
-                       });
-      if (faults.dup_ack_drop) {
-        cell.stats.acks_dropped += 1;
-        if (flight_recorder_ != nullptr) {
-          flight_recorder_->record(header.source, dup_at,
-                                   obs::FrKind::kFaultAckLoss, header.dest,
-                                   flight.seq, 0);
-        }
-      } else {
-        engine_.post(dup_at + ack_latency, [this, id] { handle_ack(id); });
-      }
-    }
+  if (!faults.drop) {
+    post_attempt(id, flight, deliver_at, faults.ack_drop);
+  }
+  if (faults.duplicate) {
+    post_attempt(id, flight, deliver_at + faults.dup_offset_us,
+                 faults.dup_ack_drop);
   }
   engine_.post(engine_.now() + flight.rto_us,
                [this, id, attempt = flight.attempts] {
@@ -658,114 +466,54 @@ void Network::start_attempt(std::uint64_t id) {
                });
 }
 
+void Network::post_attempt(std::uint64_t id, const ReliableFlight& flight,
+                           double at, bool ack_dropped) {
+  const MessageHeader& header = flight.message->header;
+  if (ack_dropped) {
+    // Charged at roll time on the sender: the receiver never touches the
+    // source cell, and every launched physical delivery lands. The entry is
+    // stamped with the delivery time, when the ack would have left; ring
+    // records never schedule events (flight_recorder.hpp), so a future stamp
+    // is harmless.
+    rel_shard_of(id).stats.acks_dropped += 1;
+    if (flight_recorder_ != nullptr) {
+      flight_recorder_->record(header.source, at, obs::FrKind::kFaultAckLoss,
+                               header.dest, flight.seq, 0);
+    }
+  }
+  engine_.post_for(header.dest, at,
+                   [this, message = flight.message, id, seq = flight.seq,
+                    first_sent = flight.first_sent_us,
+                    expected = flight.expected_deliver_us, ack_dropped] {
+                     deliver_attempt(message, id, seq, first_sent, expected,
+                                     ack_dropped);
+                   });
+}
+
 void Network::deliver_attempt(const std::shared_ptr<const Message>& message,
-                              std::uint64_t seq, std::uint64_t flight_id,
+                              std::uint64_t id, std::uint64_t seq,
+                              double first_sent_us, double expected_deliver_us,
                               bool ack_dropped) {
   const MessageHeader& header = message->header;
-  ReceiverLink& receiver = receiver_link(header.source, header.dest);
-  ReliableShard& cell = rel_shard_of(flight_id);  // == the calling shard's
-  if (receiver.accept(seq)) {
-    const std::size_t dest = static_cast<std::size_t>(header.dest);
-    traffic_[dest].messages_in += 1;
-    traffic_[dest].bytes_in += message->size_bytes();
-    mailboxes_[dest].push(*message);
-    engine_.unblock(header.dest);
-    if (flight_recorder_ != nullptr) {
-      flight_recorder_->record(header.dest, engine_.now(),
-                               obs::FrKind::kDeliver, header.source,
-                               message->size_bytes(),
-                               static_cast<std::uint64_t>(header.handler));
-    }
-    if (observer_ != nullptr) {
-      const double now = engine_.now();
-      double begin = now;
-      double expected = now;
-      const auto it = cell.inflight.find(flight_id);  // present until acked
-      if (it != cell.inflight.end()) {
-        begin = it->second.first_sent_us;
-        expected = it->second.expected_deliver_us;
-      }
-      const int lane = engine_.current_shard();
-      const std::uint64_t span =
-          observer_->flight_span(header.source, header.dest, begin, now,
-                                 message->size_bytes(), lane);
-      if (it != cell.inflight.end()) {
-        it->second.obs_span = span;
-      }
-      observer_->note_cause(header.dest, span);
-      observer_->add(header.dest, obs::Counter::kMessagesDelivered);
-      observer_->maxed(header.dest, obs::Counter::kMailboxHighWater,
-                       mailboxes_[dest].size());
-      observer_->observe(header.dest, obs::Hist::kMessageLatency, now - begin);
-      if (now > expected + 1e-9) {
-        // The paper's satellite claim: time a fault added shows up as
-        // network blame, not as whatever construct happened to be waiting.
-        observer_->retransmit_span(header.dest, header.source, expected, now,
-                                   lane);
-      }
-    }
+  std::uint64_t span = 0;
+  if (receiver_link(header.source, header.dest).accept(seq)) {
+    span = land(*message, first_sent_us, expected_deliver_us);
   } else {
-    cell.stats.duplicates_suppressed += 1;
+    // Dedup hits are charged to the receiving shard's cell.
+    rel_shard().stats.duplicates_suppressed += 1;
   }
   // Duplicates and retransmits are re-acknowledged: that is what recovers
   // from a lost ack without redelivering the message.
   if (ack_dropped) {
-    cell.stats.acks_dropped += 1;
-    if (flight_recorder_ != nullptr) {
-      flight_recorder_->record(header.source, engine_.now(),
-                               obs::FrKind::kFaultAckLoss, header.dest, seq, 0);
-    }
     return;
   }
-  engine_.post(engine_.now() + params_.effective_ack_latency_us(),
-               [this, flight_id] { handle_ack(flight_id); });
+  const int source = header.source;
+  engine_.post_for(source,
+                   engine_.now() + params_.effective_ack_latency_us(),
+                   [this, id, span] { handle_ack(id, span); });
 }
 
-void Network::deliver_attempt_cross(
-    const std::shared_ptr<const Message>& message, std::uint64_t seq,
-    double first_sent_us, double expected_deliver_us) {
-  const MessageHeader& header = message->header;
-  // The link's receiver half is only ever touched on the destination shard,
-  // its sender half only on the source shard.
-  ReceiverLink& receiver = receiver_link(header.source, header.dest);
-  if (!receiver.accept(seq)) {
-    // Dedup hits are the one counter charged to the destination shard.
-    rel_shard().stats.duplicates_suppressed += 1;
-    return;
-  }
-  const std::size_t dest = static_cast<std::size_t>(header.dest);
-  traffic_[dest].messages_in += 1;
-  traffic_[dest].bytes_in += message->size_bytes();
-  mailboxes_[dest].push(*message);
-  engine_.unblock(header.dest);
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->record(header.dest, engine_.now(), obs::FrKind::kDeliver,
-                             header.source, message->size_bytes(),
-                             static_cast<std::uint64_t>(header.handler));
-  }
-  if (observer_ != nullptr) {
-    const double now = engine_.now();
-    const int lane = engine_.current_shard();
-    const std::uint64_t span =
-        observer_->flight_span(header.source, header.dest, first_sent_us, now,
-                               message->size_bytes(), lane);
-    // No obs_span backlink: the flight record lives on the source shard, so
-    // the eventual ack wake there carries no parent span (handle_ack skips
-    // note_cause when the span id is zero).
-    observer_->note_cause(header.dest, span);
-    observer_->add(header.dest, obs::Counter::kMessagesDelivered);
-    observer_->maxed(header.dest, obs::Counter::kMailboxHighWater,
-                     mailboxes_[dest].size());
-    observer_->observe(header.dest, obs::Hist::kMessageLatency,
-                       now - first_sent_us);
-    if (now > expected_deliver_us + 1e-9) {
-      observer_->retransmit_span(header.dest, header.source,
-                                 expected_deliver_us, now, lane);
-    }
-  }
-}
-
-void Network::handle_ack(std::uint64_t id) {
+void Network::handle_ack(std::uint64_t id, std::uint64_t span) {
   ReliableShard& cell = rel_shard_of(id);
   auto it = cell.inflight.find(id);
   if (it == cell.inflight.end()) {
@@ -781,8 +529,8 @@ void Network::handle_ack(std::uint64_t id) {
     const ReliableFlight& flight = it->second;
     const MessageHeader& header = flight.message->header;
     const double now = engine_.now();
-    if (flight.obs_span != 0) {
-      observer_->note_cause(header.source, flight.obs_span);
+    if (span != 0) {
+      observer_->note_cause(header.source, span);
     }
     if (now > flight.expected_ack_us + 1e-9) {
       observer_->retransmit_span(header.source, header.dest,

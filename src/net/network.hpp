@@ -39,21 +39,25 @@
 /// on_staged fires exactly once (at the first attempt's staging point) and
 /// on_acked exactly once (at the first acknowledgement), so finish counters
 /// and cofence hazards are oblivious to loss. When the protocol is off, the
-/// seed's bare three-event flight chain runs unchanged.
+/// bare stage -> deliver -> ack chain runs alone.
 ///
-/// Sharded engines (DESIGN.md §4.11, §4.12). When the engine partitions
-/// images across worker threads, a send whose source and destination live on
-/// the same shard takes the legacy path verbatim. A cross-shard send draws
-/// its whole timing plan at initiation from the *source shard's* jitter
-/// stream (one independent stream per shard keeps multi-shard runs
-/// deterministic for a fixed shard count), runs on_staged and on_acked on
-/// the source shard at their planned times, and hands the delivery to the
-/// destination shard through Engine::post_for(), which stages it into that
-/// shard's inbox for the next window merge. deliver_at >= now + latency >=
-/// now + lookahead by construction, so the conservative-window contract
-/// holds.
+/// One chain on every shard count (DESIGN.md §4.11, §4.12). Each phase
+/// posts the next one lazily, so a message holds at most one pending engine
+/// event at any time:
+///  - stage: posted on the source shard, only when the send has on_staged
+///    or a staged read;
+///  - deliver: Engine::post_for(dest, deliver_at), a plain post when the
+///    destination shares the source's shard;
+///  - ack: the delivery posts it back with Engine::post_for(source, ack_at),
+///    carrying the flight span id so the ack wake gets its parent edge.
+/// The timing plan is drawn at initiation from the source shard's jitter
+/// stream (one stream per shard keeps multi-shard runs deterministic for a
+/// fixed shard count). deliver_at >= now + latency and ack_at = delivery +
+/// ack latency, and the runtime sets the lookahead to min(latency, ack
+/// latency), so both cross-shard posts keep the conservative-window
+/// contract.
 ///
-/// The reliable-delivery protocol runs sharded too (DESIGN.md §4.12).
+/// The reliable-delivery protocol walks the same chain (DESIGN.md §4.12).
 /// Protocol state is owned by the *source* shard: retained flights, flight
 /// ids, retransmit timers, and the fault counters live in per-shard cells
 /// (ReliableShard), and each shard rolls its attempts from its own fault
@@ -62,16 +66,10 @@
 /// touched by the source image's shard, the receiver half (dedup_floor, seen)
 /// per destination image and only touched by the destination's shard. Neither
 /// needs a lock, and an image holds one record per peer it talks to, not one
-/// per image. Every fault decision of an attempt — including both ack
-/// losses — is rolled at the sender before anything is scheduled, and the
-/// receiver acknowledges every non-ack-dropped physical delivery regardless
-/// of its dedup outcome; the sender can therefore schedule handle_ack at the
-/// delivery's known time plus ack latency *itself*, with no cross-shard
-/// return event (an ack latency below the lookahead would otherwise violate
-/// the conservative window). Ack cancellation is then a plain source-local
-/// map erase — no tombstones cross shards. A cross-shard delivery carries
-/// its metadata (seq, first-sent, expected-delivery marks) in the event
-/// closure instead of reading the sender-owned flight record.
+/// per image. Every fault decision of an attempt, both ack losses included,
+/// is rolled and charged at the sender; the delivery carries its metadata in
+/// the closure, never reads the sender-owned flight record, and posts
+/// handle_ack back through post_for unless its ack was rolled lost.
 
 #include <atomic>
 #include <cstdint>
@@ -148,7 +146,8 @@ class Network {
   std::uint64_t bytes_sent() const {
     return bytes_sent_.load(std::memory_order_relaxed);
   }
-  const ImageTraffic& traffic(int image) const { return traffic_[image]; }
+  /// Traffic counters of \p image (must be in [0, size())).
+  const ImageTraffic& traffic(int image) const;
 
   /// Reset the per-image traffic counters (benchmarks call this between
   /// measurement phases).
@@ -214,51 +213,31 @@ class Network {
   /// The calling shard's fault stream, which attempt decisions come from.
   Xoshiro256ss& fault_rng();
 
-  /// True when source and destination images live on different shards.
-  bool cross_shard(int source, int dest) const;
-
-  /// One in-flight message. A flight owns the message plus its completion
-  /// callbacks and walks the stage → deliver → ack chain as a *single*
-  /// self-rescheduling engine event: later phases' sequence numbers are
-  /// reserved up front (Engine::reserve_seq) so lazy scheduling dispatches
-  /// in exactly the order the seed's eager three-event schedule produced,
-  /// and consecutive phases that fall on the same virtual time are run
-  /// inline within one event instead of bouncing through the heap.
+  /// One in-flight best-effort message: the message plus its completion
+  /// callbacks and timing plan. It moves from the stage closure into the
+  /// delivery closure; the delivery hands on_acked on to the ack closure.
   struct Flight {
     Message message;
     SendCallbacks callbacks;
     Timing timing{};
-    std::uint64_t deliver_seq = 0;
-    std::uint64_t ack_seq = 0;
-    bool has_ack = false;
     double init_us = 0.0;  ///< initiation time (observability only)
   };
 
   /// Source-side accounting charged when the message is injected.
   void account_send(const Message& message);
 
-  /// Post the delivery event at (timing.deliver_at, deliver_seq).
-  void schedule_deliver(Flight flight);
+  /// Post the delivery of \p flight on the destination's shard.
+  void post_deliver(Flight flight);
 
-  /// Execute the delivery (and, when ack_at coincides, the ack) now.
-  void run_deliver_phase(Flight flight);
+  /// Delivery phase: land the message and post the ack back to the source.
+  void deliver(Flight flight);
 
-  /// --- cross-shard delivery (sharded engines only) --------------------------
-
-  /// send() when source and destination live on different shards.
-  void send_cross(Message message, SendCallbacks callbacks);
-
-  /// send_staged() when source and destination live on different shards.
-  void send_staged_cross(MessageHeader header, std::size_t size_hint,
-                         std::function<std::vector<std::uint8_t>()> read,
-                         SendCallbacks callbacks);
-
-  /// Destination-shard half of a cross-shard send: runs as a staged call on
-  /// the destination shard (mailbox push, unblock, flight-recorder entry,
-  /// observer spans on the destination shard's net lane). \p init_us is the
-  /// send's initiation time, carried in the closure because the flight
-  /// record stays on the source shard.
-  void deliver_cross(Message message, double init_us);
+  /// Land \p message in its destination mailbox and unblock the destination:
+  /// traffic counters, flight recorder and observer records. \p init_us is
+  /// the first initiation (the flight span's begin); a delivery later than
+  /// \p expected_us also records a retransmit-delay span. Returns the flight
+  /// span id (0 without an observer).
+  std::uint64_t land(Message message, double init_us, double expected_us);
 
   /// --- reliable-delivery protocol ------------------------------------------
 
@@ -309,7 +288,6 @@ class Network {
     // reattribution fires only on genuinely fault-lengthened waits.
     double expected_deliver_us = 0.0;
     double expected_ack_us = 0.0;
-    std::uint64_t obs_span = 0;  ///< flight span id (parent of the ack wake)
   };
 
   void send_reliable(Message message, SendCallbacks callbacks);
@@ -324,32 +302,28 @@ class Network {
                              double inject_us);
 
   /// Launch the next delivery attempt of flight \p id: roll faults, post the
-  /// delivery (and duplicate) events, and arm the retransmit timer. For a
-  /// cross-shard flight the deliveries go through Engine::post_for and the
-  /// sender schedules handle_ack itself at the known delivery time plus ack
-  /// latency (see the file comment), so no event ever crosses back against
-  /// the conservative window.
+  /// delivery (and duplicate) and arm the retransmit timer.
   void start_attempt(std::uint64_t id);
 
   AttemptFaults roll_faults(const ReliableFlight& flight);
 
-  /// Receiver side of one physical delivery (primary or duplicate) when both
-  /// endpoints share a shard: may read the sender-owned flight record
-  /// directly and posts the ack itself.
+  /// Post one physical delivery (primary or duplicate) of flight \p id at
+  /// \p at. An ack rolled lost is charged here, at the sender.
+  void post_attempt(std::uint64_t id, const ReliableFlight& flight, double at,
+                    bool ack_dropped);
+
+  /// Receiver side of one physical delivery: dedup, land, and post
+  /// handle_ack back to the source unless \p ack_dropped. All metadata rides
+  /// in the arguments; the sender-owned flight record is never touched.
   void deliver_attempt(const std::shared_ptr<const Message>& message,
-                       std::uint64_t seq, std::uint64_t flight_id,
+                       std::uint64_t id, std::uint64_t seq,
+                       double first_sent_us, double expected_deliver_us,
                        bool ack_dropped);
 
-  /// Receiver side of one cross-shard physical delivery: all metadata rides
-  /// in the arguments, the sender-owned flight record is never touched, and
-  /// no ack is posted (the sender simulated it at schedule time).
-  void deliver_attempt_cross(const std::shared_ptr<const Message>& message,
-                             std::uint64_t seq, double first_sent_us,
-                             double expected_deliver_us);
-
   /// Sender side of one acknowledgement; idempotent (late/duplicate acks of
-  /// an already-completed flight are ignored).
-  void handle_ack(std::uint64_t id);
+  /// an already-completed flight are ignored). \p span is the delivery's
+  /// flight span (0 for a deduped duplicate or without an observer).
+  void handle_ack(std::uint64_t id, std::uint64_t span);
 
   void on_retransmit_timer(std::uint64_t id, int attempt);
 

@@ -308,9 +308,9 @@ class Recorder {
                           std::uint64_t& next_local, std::size_t cap_bytes,
                           Span span, Metrics* image_metrics);
 
-  /// The capture's single network track: lane 0 verbatim for serial runs,
-  /// else the deterministic (begin, end, image, peer, id) merge.
-  Track merged_net_track() const;
+  /// The capture's single network track: the deterministic
+  /// (begin, end, image, peer, id) merge of every lane (one or more).
+  static Track merge_lanes(std::vector<Track> lanes);
 
   ObsConfig config_;
   std::vector<PerImage> images_;

@@ -299,20 +299,17 @@ void Recorder::observe(int image, Hist h, double us) {
   at(image).metrics.hists[static_cast<std::size_t>(h)].add(us);
 }
 
-Track Recorder::merged_net_track() const {
-  if (net_lanes_.size() == 1) {
-    return net_lanes_[0].track;
-  }
-  Track merged;
-  std::size_t total = 0;
-  for (const NetLane& lane : net_lanes_) {
-    total += lane.track.spans.size();
-    merged.dropped += lane.track.dropped;
+Track Recorder::merge_lanes(std::vector<Track> lanes) {
+  Track merged = std::move(lanes.front());
+  std::size_t total = merged.spans.size();
+  for (std::size_t i = 1; i < lanes.size(); ++i) {
+    total += lanes[i].spans.size();
+    merged.dropped += lanes[i].dropped;
   }
   merged.spans.reserve(total);
-  for (const NetLane& lane : net_lanes_) {
-    merged.spans.insert(merged.spans.end(), lane.track.spans.begin(),
-                        lane.track.spans.end());
+  for (std::size_t i = 1; i < lanes.size(); ++i) {
+    merged.spans.insert(merged.spans.end(), lanes[i].spans.begin(),
+                        lanes[i].spans.end());
   }
   // (begin, end, image, peer, id) is a total order — ids are unique across
   // lanes — so the merged track is identical for any lane fill order: the
@@ -347,7 +344,12 @@ Capture Recorder::snapshot(double end_us) const {
     capture.tracks.push_back(state.track);
     capture.metrics.push_back(state.metrics);
   }
-  capture.tracks.push_back(merged_net_track());
+  std::vector<Track> lanes;
+  lanes.reserve(net_lanes_.size());
+  for (const NetLane& lane : net_lanes_) {
+    lanes.push_back(lane.track);
+  }
+  capture.tracks.push_back(merge_lanes(std::move(lanes)));
   return capture;
 }
 
@@ -364,14 +366,13 @@ Capture Recorder::take(double end_us) {
     state.track = Track{};
     state.metrics = Metrics{};
   }
-  if (net_lanes_.size() == 1) {
-    capture.tracks.push_back(std::move(net_lanes_[0].track));
-  } else {
-    capture.tracks.push_back(merged_net_track());
-  }
+  std::vector<Track> lanes;
+  lanes.reserve(net_lanes_.size());
   for (NetLane& lane : net_lanes_) {
+    lanes.push_back(std::move(lane.track));
     lane.track = Track{};
   }
+  capture.tracks.push_back(merge_lanes(std::move(lanes)));
   return capture;
 }
 

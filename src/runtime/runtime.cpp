@@ -76,13 +76,17 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   engine_options.enable_fastpath = options_.sim_fastpath;
   engine_options.watchdog_quiet_us = options_.watchdog_quiet_us;
   engine_options.shards = options_.shards;
-  // The conservative lookahead for sharded execution is the network's wire
-  // latency: a cross-shard delivery can never land earlier than one latency
-  // after its send (net/network.hpp). Reliable delivery and obs span capture
+  // The conservative lookahead for sharded execution is the smaller of the
+  // network's two hops: a cross-shard delivery lands at least one wire
+  // latency after its send, and the ack it posts back lands one ack latency
+  // after the delivery (net/network.hpp). With latency 10 us and ack latency
+  // 2 us the windows are 2 us wide. Reliable delivery and obs span capture
   // both run sharded too (per-shard protocol cells and recorder net lanes,
-  // DESIGN.md §4.12); only a zero-latency "instant" network still forces the
-  // engine back to one shard, because it leaves no positive lookahead.
-  engine_options.lookahead_us = options_.net.latency_us;
+  // DESIGN.md §4.12); a zero wire or ack latency (the "instant" network, or
+  // ack_latency_us = 0 alone) leaves no positive lookahead and forces the
+  // engine back to one shard.
+  engine_options.lookahead_us = std::min(
+      options_.net.latency_us, options_.net.effective_ack_latency_us());
   engine_ = std::make_unique<sim::Engine>(options_.num_images,
                                           std::move(engine_options));
   network_ = std::make_unique<net::Network>(*engine_, options_.net,

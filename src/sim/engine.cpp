@@ -571,19 +571,6 @@ void Engine::unblock(int participant) {
                         shard.next_seq++, participant, kNoSlot});
 }
 
-std::uint64_t Engine::reserve_seq() {
-  return calling_shard().next_seq++;
-}
-
-void Engine::post_reserved(double at, std::uint64_t seq, InlineFn fn) {
-  CAF2_REQUIRE(static_cast<bool>(fn), "post_reserved() needs a callable");
-  Shard& shard = calling_shard();
-  const double when =
-      std::max(at, shard.now_us.load(std::memory_order_relaxed));
-  const std::uint32_t slot = acquire_slot(shard, std::move(fn));
-  shard.heap.push(Event{when, seq, -1, slot});
-}
-
 void Engine::post_call(double at, InlineFn fn) {
   CAF2_REQUIRE(static_cast<bool>(fn), "post() needs a callable");
   Shard& shard = calling_shard();

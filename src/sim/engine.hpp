@@ -46,11 +46,11 @@
 /// Virtual time advances in windows: a shard may dispatch any event strictly
 /// below `window_end = global_min + span`, where `global_min` is the minimum
 /// pending event time across shards. With more than one shard the span is
-/// the lookahead, the network's minimum link latency
+/// the lookahead, the network's minimum hop latency
 /// (EngineOptions::lookahead_us): any event one shard creates on another (a
-/// message delivery) carries a timestamp at least `lookahead` in the future,
-/// so it can never land inside the window a destination shard is already
-/// executing — cross-shard events are staged into the destination's inbox
+/// message delivery or its ack) carries a timestamp at least `lookahead` in
+/// the future, so it can never land inside the window a destination shard is
+/// already executing — cross-shard events are staged into the destination's inbox
 /// and merged at the next window boundary in the deterministic order
 /// `(time, source shard, per-source counter)`, then re-sequenced into the
 /// destination heap. A one-shard engine has no peer, so its span is
@@ -60,7 +60,7 @@
 /// repeats; different shard counts admit different cross-shard wake clamp
 /// points and so produce different (each individually deterministic)
 /// virtual schedules. Sharding requires a positive lookahead; configurations
-/// without one (zero-latency networks) run on one shard. The
+/// without one (zero wire or ack latency) run on one shard. The
 /// reliable-delivery protocol and obs span capture both run sharded
 /// (DESIGN.md §4.12).
 ///
@@ -169,8 +169,8 @@ struct EngineOptions {
 
   /// Conservative lookahead window (virtual microseconds) for sharded runs:
   /// the minimum virtual-time distance of any event one shard can create on
-  /// another. The runtime derives it from the network's minimum link
-  /// latency. <= 0 disables sharding (automatic fallback to shards = 1).
+  /// another. The runtime derives it from the network: min(wire latency, ack
+  /// latency). <= 0 disables sharding (automatic fallback to shards = 1).
   double lookahead_us = 0.0;
 };
 
@@ -248,24 +248,11 @@ class Engine {
   /// calls are exactly post(); cross-shard calls stage the
   /// event into the owning shard's inbox for the next window merge and
   /// require `at >= now() + lookahead_us` (the conservative-window
-  /// contract; the network's wire latency provides it).
+  /// contract; the network's wire and ack latencies provide it).
   template <class F>
   void post_for(int participant, double at, F&& fn) {
     post_for_call(participant, at, InlineFn(std::forward<F>(fn)));
   }
-
-  /// Reserve the next event sequence number without scheduling anything.
-  /// Chained event sources (the network's message flights) reserve their
-  /// later phases' sequence numbers up front so that scheduling an event
-  /// lazily — from inside an earlier phase's callback — still dispatches in
-  /// exactly the order an eager schedule would have produced. Sequence
-  /// numbers are per-shard; a reservation must be redeemed on the shard that
-  /// made it (the network only reserves for same-shard flights).
-  std::uint64_t reserve_seq();
-
-  /// Schedule a callback under a sequence number previously returned by
-  /// reserve_seq(). \p at is clamped to now() like post().
-  void post_reserved(double at, std::uint64_t seq, InlineFn fn);
 
   /// Abort the run with a diagnosable failure: a structured obs::Postmortem
   /// is collected and every blocked participant is woken with an

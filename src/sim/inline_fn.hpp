@@ -22,9 +22,9 @@ namespace caf2::sim {
 
 class InlineFn {
  public:
-  /// Inline capacity. 200 bytes holds a staged network flight (Message with
-  /// its payload vector, two std::function completion callbacks, timing and
-  /// reserved sequence numbers) without touching the heap.
+  /// Inline capacity. 200 bytes holds a network flight (Message with its
+  /// payload vector, two std::function completion callbacks and the timing
+  /// plan) without touching the heap.
   static constexpr std::size_t kInlineBytes = 200;
 
   InlineFn() = default;

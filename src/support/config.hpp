@@ -138,7 +138,11 @@ struct NetworkParams {
   double jitter_us = 0.0;
 
   /// Latency applied to a completion acknowledgement (delivery -> initiator).
-  /// Defaults to the wire latency when negative.
+  /// Defaults to the wire latency when negative. The ack is an event the
+  /// delivery posts back to the initiator's shard, so the runtime's
+  /// conservative lookahead is min(latency_us, ack latency): latency 10 us
+  /// with ack latency 2 us runs sharded in 2 us windows, and an ack latency
+  /// of 0 (with any latency) leaves no lookahead and runs on one shard.
   double ack_latency_us = -1.0;
 
   /// Largest payload of a "medium" active message, in bytes. GASNet's
@@ -252,10 +256,11 @@ struct RuntimeOptions {
   /// environment": CAF2_SIM_SHARDS when set, one shard otherwise; an
   /// explicit value >= 1 always wins over the environment. Any fixed shard
   /// count is deterministic run to run. The runtime derives the conservative
-  /// lookahead from the network's wire latency; reliable delivery, fault
-  /// plans, and obs span capture all run sharded (per-shard protocol cells
-  /// and recorder net lanes, DESIGN.md §4.12). Only a zero-latency network
-  /// leaves no positive lookahead and falls back to a single shard.
+  /// lookahead from the network's wire and ack latencies (the smaller one);
+  /// reliable delivery, fault plans, and obs span capture all run sharded
+  /// (per-shard protocol cells and recorder net lanes, DESIGN.md §4.12).
+  /// Only a zero wire or ack latency leaves no positive lookahead and falls
+  /// back to a single shard.
   int shards = 0;
 
   /// Virtual-time watchdog quiet period (microseconds). When > 0 and every

@@ -91,6 +91,49 @@ TEST(FaultConfig, InvalidParamsRejectedAtConstruction) {
   }
 }
 
+TEST(FaultConfig, UnreachableFaultEndpointsRejectedNamingTheField) {
+  // A fault pinned to an image the run does not have could never fire; the
+  // constructor rejects it instead of leaving scripted_applied at zero.
+  sim::Engine engine(2);
+  const auto rejection = [&](const NetworkParams& p) -> std::string {
+    try {
+      Network network(engine, p, 1);
+    } catch (const UsageError& error) {
+      return error.what();
+    }
+    return "";
+  };
+  {
+    NetworkParams p = wire_params();
+    p.faults.scripted.push_back({.source = 0, .dest = 2});
+    EXPECT_NE(rejection(p).find("faults.scripted[0].dest"), std::string::npos);
+  }
+  {
+    NetworkParams p = wire_params();
+    p.faults.scripted.push_back({.source = 1, .dest = 0});
+    p.faults.scripted.push_back({.source = 7, .dest = 0});
+    EXPECT_NE(rejection(p).find("faults.scripted[1].source"),
+              std::string::npos);
+  }
+  {
+    NetworkParams p = wire_params();
+    p.faults.links.push_back({.source = 2, .drop_probability = 0.1});
+    EXPECT_NE(rejection(p).find("faults.links[0].source"), std::string::npos);
+  }
+  {
+    NetworkParams p = wire_params();
+    p.faults.links.push_back({.dest = 3, .drop_probability = 0.1});
+    EXPECT_NE(rejection(p).find("faults.links[0].dest"), std::string::npos);
+  }
+  {
+    // In-range endpoints and wildcards are accepted.
+    NetworkParams p = wire_params();
+    p.faults.scripted.push_back({.source = 1, .dest = 0});
+    p.faults.links.push_back({.dest = 1, .drop_probability = 0.1});
+    EXPECT_EQ(rejection(p), "");
+  }
+}
+
 TEST(FaultConfig, ReliabilityModeResolution) {
   NetworkParams p = wire_params();
   EXPECT_FALSE(p.reliable_delivery());  // kAuto + inactive plan
@@ -597,10 +640,10 @@ TEST(FaultyRun, BlackHoleLinkProducesWatchdogReportThroughRuntime) {
 
 TEST(FaultyRun, CrossShardScriptedDropRetransmitsAndCancelsTimer) {
   // Two images on two shards: the dropped cross-shard delivery is
-  // retransmitted from its source shard, the (sender-simulated) ack of the
-  // retransmitted copy erases the flight, and the rearmed retransmit timer
-  // must then find it gone — exactly one retransmit, no retry-cap error,
-  // nothing left in flight.
+  // retransmitted from its source shard, the ack the receiver posts back
+  // across the boundary for the retransmitted copy erases the flight, and
+  // the rearmed retransmit timer must then find it gone — exactly one
+  // retransmit, no retry-cap error, nothing left in flight.
   RuntimeOptions options = faulty_options(2, 0.0);
   options.shards = 2;
   options.net.jitter_us = 0.0;

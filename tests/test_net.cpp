@@ -242,6 +242,14 @@ TEST(Mailbox, FifoAndCounters) {
   EXPECT_EQ(mailbox.delivered_total(), 3u);
 }
 
+TEST(Network, TrafficOfAnOutOfRangeImageRejected) {
+  sim::Engine engine(2);
+  const Network network(engine, test_params(), 1);
+  EXPECT_EQ(network.traffic(1).messages_in, 0u);
+  EXPECT_THROW(network.traffic(2), UsageError);
+  EXPECT_THROW(network.traffic(-1), UsageError);
+}
+
 TEST(Network, OutOfRangeDestinationRejected) {
   sim::Engine engine(2);
   Network network(engine, test_params(), 1);

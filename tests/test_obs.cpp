@@ -151,6 +151,44 @@ TEST(Obs, CaptureTilesTimelinesAndLinksFlights) {
   EXPECT_EQ(finishes, 4u);  // one finish scope per image
 }
 
+/// Image 0 puts to image 1 and cofences, eight times, then both meet in a
+/// barrier. Returns how many of image 0's blocked spans were woken by a
+/// flight (a delivery, or the ack of one of its puts) on \p shards shards.
+std::size_t parented_waits_on_image0(int shards) {
+  RuntimeOptions options = obs_options(2);
+  options.shards = shards;
+  const RunStats stats = run_stats(options, [] {
+    Team world = team_world();
+    Coarray<double> data(world, 8);
+    if (world.rank() == 0) {
+      const std::vector<double> src(8, 1.0);
+      for (int i = 0; i < 8; ++i) {
+        copy_async(data(1), std::span<const double>(src));
+        cofence();
+      }
+    }
+    team_barrier(world);
+  });
+  EXPECT_EQ(stats.shards, shards);
+  if (stats.obs == nullptr) {
+    ADD_FAILURE() << "no capture";
+    return 0;
+  }
+  const auto& spans = stats.obs->image_track(0).spans;
+  return static_cast<std::size_t>(
+      std::count_if(spans.begin(), spans.end(), [](const obs::Span& span) {
+        return span.kind == obs::SpanKind::kBlocked && span.parent != 0;
+      }));
+}
+
+TEST(Obs, AckWakesKeepTheirParentOnEveryShardCount) {
+  // The ack closure carries the flight span id on every shard count, so a
+  // two-shard run links as many of image 0's waits as a one-shard run.
+  const std::size_t serial = parented_waits_on_image0(1);
+  EXPECT_GE(serial, 8u);
+  EXPECT_EQ(parented_waits_on_image0(2), serial);
+}
+
 /// --- determinism ---------------------------------------------------------------
 
 TEST(Obs, RepeatedRunsRecordByteIdenticalCaptures) {

@@ -489,6 +489,45 @@ TEST(Shards, InstantNetworkFallsBackToSerial) {
   EXPECT_EQ(stats.shards, 1);
 }
 
+/// A ring of copies under one finish: every image's put crosses to its
+/// successor, so with two shards both the deliveries and the acks they post
+/// back straddle the shard boundary.
+void finish_ring_workload() {
+  Team world = team_world();
+  Coarray<long> ring(world, 1);
+  ring[0] = -1;
+  team_barrier(world);
+  const std::vector<long> payload(1, world.rank());
+  finish(world, [&] {
+    copy_async(ring((world.rank() + 1) % world.size()),
+               std::span<const long>(payload));
+    cofence();
+  });
+  EXPECT_EQ(ring[0], (world.rank() + world.size() - 1) % world.size());
+}
+
+TEST(Shards, AckLatencyBelowWireLatencyBoundsTheLookahead) {
+  // Acks are events the delivery posts back to the initiator's shard, so the
+  // lookahead is min(latency, ack latency) = 2 us here. A lookahead of the
+  // 10 us wire latency would trip post_for's always-on window assertion on
+  // the first cross-shard ack.
+  RuntimeOptions options = shard_options(8, 2, 17);
+  options.net.latency_us = 10.0;
+  options.net.ack_latency_us = 2.0;
+  const RunStats stats = run_stats(options, finish_ring_workload);
+  EXPECT_EQ(stats.shards, 2);
+  EXPECT_EQ(stats.lookahead_mode, "static");
+}
+
+TEST(Shards, ZeroAckLatencyFallsBackToSerial) {
+  // A zero ack latency leaves no lookahead even over a slow wire.
+  RuntimeOptions options = shard_options(8, 2, 17);
+  options.net.latency_us = 10.0;
+  options.net.ack_latency_us = 0.0;
+  const RunStats stats = run_stats(options, finish_ring_workload);
+  EXPECT_EQ(stats.shards, 1);
+}
+
 TEST(Shards, ShardCountClampsToImages) {
   const RunStats stats = run_stats(shard_options(2, 16, 13), mixed_workload);
   EXPECT_EQ(stats.shards, 2);
