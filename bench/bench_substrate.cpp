@@ -4,16 +4,16 @@
 /// here is *events per wall second*, not virtual time.
 ///
 /// Three layers are measured:
-///  - engine/*: the raw discrete-event loop (self-wake fast path, token
-///    handoffs between participant fibers, Call-event dispatch);
+///  - engine/*: the raw discrete-event loop (a lone participant advancing
+///    its own clock, token handoffs between participant fibers, Call-event
+///    dispatch);
 ///  - allreduce/*, randomaccess/*: full runtime stacks over the simulated
 ///    Gemini-class interconnect, swept over image counts and bunch sizes;
 ///  - detector/*: the UTS termination-detection workload per detector kind.
 ///
 /// Independent sweep points run concurrently (--jobs); results land in
 /// BENCH_substrate.json so the simulator's perf trajectory is tracked
-/// across commits. Use CAF2_SIM_NO_FASTPATH=1 to compare against the
-/// slow-path scheduler.
+/// across commits.
 ///
 /// The sharded/* and staggered/* sections measure the parallel-DES engine
 /// (DESIGN.md §4.11): a paper-scale ring workload plus a stagger-phased

@@ -8,14 +8,18 @@
 /// `bench_collectives --tune` measures and CAF2_COLL_TABLE loads) and an
 /// observed run proves CollAlgorithm::kAuto follows it: the recorded
 /// collective span is labeled with the table's winner, not the built-in
-/// default.
+/// default. With CAF2_COLL_TABLE set, the table that file holds (loaded at
+/// run entry) takes the installed table's place.
 ///
 /// Exits 0 only when all schedules agree and Auto demonstrably follows the
 /// table.
 ///
 /// Build & run:   ./build/examples/collective_algorithms
+///                CAF2_COLL_TABLE=BENCH_coll_selection.json \
+///                    ./build/examples/collective_algorithms
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -82,13 +86,18 @@ bool run_schedules() {
 }
 
 /// Install a measured-winner table mapping 8-image scalar allreduces to the
-/// ring schedule, run with CollAlgorithm::kAuto under the span recorder, and
-/// check the collective span is labeled "allreduce/ring".
+/// ring schedule (unless CAF2_COLL_TABLE names one, which run_stats loads),
+/// run with CollAlgorithm::kAuto under the span recorder, and check the
+/// collective span is labeled with the schedule the table picks.
 bool run_auto_follows_table() {
-  ops::CollSelectionTable table;
-  table.set(ops::CollKind::kAllreduce, kImages, sizeof(long),
-            CollAlgorithm::kRing);
-  ops::set_selection_table(table);
+  const char* env_table = std::getenv("CAF2_COLL_TABLE");
+  const bool from_env = env_table != nullptr && *env_table != '\0';
+  if (!from_env) {
+    ops::CollSelectionTable table;
+    table.set(ops::CollKind::kAllreduce, kImages, sizeof(long),
+              CollAlgorithm::kRing);
+    ops::set_selection_table(table);
+  }
 
   RuntimeOptions options;
   options.num_images = kImages;
@@ -99,21 +108,31 @@ bool run_auto_follows_table() {
     (void)allreduce<long>(world, value, RedOp::kSum);
     team_barrier(world);  // keep images alive until op completions land
   });
+  // A table from the environment must have loaded; its pick for this bucket
+  // is whatever it measured.
+  const bool loaded = !ops::selection_table().empty();
+  const char* expected =
+      from_env ? ops::coll_span_label(
+                     ops::CollKind::kAllreduce,
+                     ops::resolve_algorithm(ops::CollKind::kAllreduce,
+                                            CollAlgorithm::kAuto, kImages,
+                                            sizeof(long)))
+               : "allreduce/ring";
   ops::clear_selection_table();
 
-  bool saw_ring = false;
+  bool saw_expected = false;
   for (int image = 0; image < stats.obs->images; ++image) {
     for (const obs::Span& span : stats.obs->image_track(image).spans) {
       if (span.kind == obs::SpanKind::kCollective && span.label != nullptr &&
-          std::strcmp(span.label, "allreduce/ring") == 0) {
-        saw_ring = true;
+          std::strcmp(span.label, expected) == 0) {
+        saw_expected = true;
       }
     }
   }
-  std::printf("auto-follows-table: collective span labeled allreduce/ring: "
-              "%s\n",
-              saw_ring ? "yes" : "NO");
-  return saw_ring;
+  std::printf("auto-follows-table (%s): collective span labeled %s: %s\n",
+              from_env ? env_table : "installed table", expected,
+              saw_expected ? "yes" : "NO");
+  return loaded && saw_expected;
 }
 
 }  // namespace

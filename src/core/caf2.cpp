@@ -16,15 +16,11 @@ void run(const RuntimeOptions& options, const std::function<void()>& body) {
 
 RunStats run_stats(const RuntimeOptions& options,
                    const std::function<void()>& body) {
-  // Collective selection table (DESIGN.md §4.13): the environment variable
-  // overrides the option, matching the other CAF2_* knobs. Loading happens
-  // before any image starts, so resolution inside the run sees one
-  // immutable table.
+  // Collective selection table (DESIGN.md §4.13). Loading happens before
+  // any image starts, so resolution inside the run sees one immutable table.
   if (const char* env = std::getenv("CAF2_COLL_TABLE");
       env != nullptr && *env != '\0') {
     ops::load_selection_table_file(env);
-  } else if (!options.coll_selection_table.empty()) {
-    ops::load_selection_table_file(options.coll_selection_table);
   }
   rt::Runtime runtime(options);
   rt::install_event_handlers(runtime);
@@ -37,7 +33,6 @@ RunStats run_stats(const RuntimeOptions& options,
   stats.events = runtime.engine().event_count();
   stats.virtual_us = runtime.engine().now();
   stats.context_switches = runtime.engine().context_switch_count();
-  stats.fastpath = runtime.engine().fastpath_enabled();
   stats.peak_rss_bytes = peak_rss_bytes();
   stats.shards = runtime.engine().shard_count();
   stats.windows = runtime.engine().window_count();

@@ -8,7 +8,7 @@
 ///    which loads directly in Perfetto (https://ui.perfetto.dev) or
 ///    chrome://tracing — one track per image plus a network track;
 ///  - a compact deterministic text form used by tests to assert that two
-///    runs (e.g. fast path on vs off) recorded byte-identical captures.
+///    runs (e.g. repeats of one seed) recorded byte-identical captures.
 
 #include <string>
 

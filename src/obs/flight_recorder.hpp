@@ -35,11 +35,10 @@ namespace caf2::obs {
 ///   kRetransmit      peer=dest    a=link seq      b=attempt number
 ///   kFaultDrop/kFaultDuplicate/kFaultDelay/kFaultAckLoss
 ///                    peer=dest    a=link seq      b=0
-///                    (kFaultAckLoss is stamped with the delivery time on
-///                    every path; the cross-shard reliable path records it
-///                    eagerly at send time — recording must not schedule
-///                    events — so its ring insertion order can run locally
-///                    ahead of the stamp)
+///                    (kFaultAckLoss is recorded when the attempt's faults
+///                    are rolled but stamped with the delivery time —
+///                    recording must not schedule events — so its ring
+///                    insertion order can run locally ahead of the stamp)
 ///   kWaitBegin/kWaitEnd
 ///                    peer=resource owner          a,b=resource payload
 ///   kHandler         peer=source  a=handler id    b=0
@@ -72,6 +71,9 @@ struct FrEvent {
   FrKind kind = FrKind::kSend;
   const char* label = nullptr;  ///< optional literal (e.g. wait reason)
 };
+
+/// Ring capacity per image of the runtime's flight recorder.
+inline constexpr std::size_t kFlightRecorderEntries = 256;
 
 /// Per-image fixed-capacity rings of FrEvents.
 class FlightRecorder {

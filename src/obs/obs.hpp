@@ -170,9 +170,8 @@ struct Track {
 };
 
 /// Immutable snapshot of everything recorded during one run. Deterministic:
-/// for a given options + body it is bit-identical across repeats and with
-/// the scheduler fast path on or off (export::to_text serializes it
-/// byte-stably for exactly that comparison).
+/// for a given options + body it is bit-identical across repeats
+/// (export::to_text serializes it byte-stably for exactly that comparison).
 struct Capture {
   ObsConfig config{};
   int images = 0;

@@ -151,6 +151,10 @@ struct PmNetwork {
 
 inline constexpr std::size_t kMaxListedFlights = 16;
 
+/// How many of each image's most recent flight-recorder events a postmortem
+/// includes.
+inline constexpr std::size_t kPostmortemRecentEvents = 16;
+
 /// Bipartite wait-for graph: image → resource edges from wait stacks,
 /// resource → image edges from satisfier analysis (which images could still
 /// make the resource come true).

@@ -13,8 +13,7 @@
 /// schedules, so untuned runs keep their historical traces bit-for-bit), or
 /// a table measured under the simulator by `bench_collectives --tune` and
 /// loaded back here (load_selection_table_file / set_selection_table, or
-/// RuntimeOptions::coll_selection_table / the CAF2_COLL_TABLE environment
-/// variable at caf2::run entry).
+/// the CAF2_COLL_TABLE environment variable at caf2::run entry).
 ///
 /// Determinism: resolution depends only on team-uniform inputs — every
 /// member of a team observes the same kind, team size, and contribution

@@ -89,15 +89,8 @@ void CollImplBase::start(Image& image, const net::FinishKey& finish,
 void CollImplBase::send_stage(Image& image, int to_team_rank, int stage,
                               net::SharedBytes data) {
   net::Message message;
-  message.header.source = image.rank();
-  message.header.dest = desc_.team.world_rank(to_team_rank);
-  message.header.handler = rt::kHandlerCollective;
-  if (finish_.valid()) {
-    message.header.finish = finish_;
-    message.header.tracked = true;
-    message.header.from_odd_epoch =
-        image.finish_state(finish_).present_odd();
-  }
+  message.header = image.make_header(desc_.team.world_rank(to_team_rank),
+                                     rt::kHandlerCollective, finish_);
   WriteArchive archive;
   archive.write(key_);
   archive.write(static_cast<std::int32_t>(stage));

@@ -21,8 +21,8 @@
 /// pattern is one stage-message state machine. CollOptions::algorithm picks
 /// a schedule; the default CollAlgorithm::kAuto consults a selection table
 /// (the built-in defaults, or a table measured by `bench_collectives
-/// --tune` and loaded with ops::load_selection_table_file /
-/// RuntimeOptions::coll_selection_table) so the winner can depend on
+/// --tune` and loaded with ops::load_selection_table_file or the
+/// CAF2_COLL_TABLE environment variable) so the winner can depend on
 /// payload size and team size.
 
 #include <algorithm>

@@ -11,7 +11,6 @@ namespace caf2::ops {
 namespace {
 
 using rt::Image;
-using rt::Tracking;
 
 /// Wire formats. All are trivially copyable and travel at the front of the
 /// message payload (followed by raw data where applicable).
@@ -54,39 +53,17 @@ struct FireWire {
   std::uint64_t plan_id;
 };
 
-/// Build a header attributed to \p finish (captured at initiation time, so
-/// deferred plans still charge the right scope).
-net::MessageHeader header_for(Image& image, int dest, net::HandlerId handler,
-                              const net::FinishKey& finish) {
-  net::MessageHeader h;
-  h.source = image.rank();
-  h.dest = dest;
-  h.handler = handler;
-  if (finish.valid()) {
-    h.finish = finish;
-    h.tracked = true;
-    h.from_odd_epoch = image.finish_state(finish).present_odd();
-  }
-  return h;
-}
-
 void post_done(Image& image, const RemoteEvent& event) {
   if (event.valid()) {
     rt::post_event_raw(image.runtime(), image.rank(), event);
   }
 }
 
-/// Both end points are buffers local to \p image: a staged local memcpy.
-/// A tracked local copy is charged to the finish as a self-message so the
-/// scope cannot terminate before the copy completes.
+/// Both end points are buffers local to \p image: a staged local memcpy,
+/// charged to \p finish as a local operation (Image::charge_local).
 void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
                       const net::FinishKey& finish) {
-  const bool odd =
-      finish.valid() ? image.finish_state(finish).present_odd() : false;
-  if (finish.valid()) {
-    image.finish_state(finish).count_sent(odd);
-    image.finish_state(finish).count_sent_dest(image.rank());
-  }
+  const bool odd = image.charge_local(finish);
   const double inject =
       image.runtime().options().net.bandwidth_bytes_per_us > 0.0
           ? static_cast<double>(d.bytes) /
@@ -99,12 +76,7 @@ void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
       op->data_complete = true;
       op->op_complete = true;
     }
-    if (finish.valid()) {
-      rt::FinishState& state = img->finish_state(finish);
-      state.count_delivered(odd);
-      state.count_received(odd);
-      state.count_completed(odd);
-    }
+    img->complete_local_charge(finish, odd);
     post_done(*img, d.src_done);
     post_done(*img, d.dst_done);
     img->runtime().engine().unblock(img->rank());
@@ -116,7 +88,7 @@ void start_local_copy(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
 void start_put(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
                const net::FinishKey& finish) {
   net::MessageHeader header =
-      header_for(image, d.dst_image, rt::kHandlerCopyPut, finish);
+      image.make_header(d.dst_image, rt::kHandlerCopyPut, finish);
 
   PutWire wire{d.dst_coarray, d.dst_offset_bytes, d.dst_done};
   const void* src = d.src_local;
@@ -187,7 +159,7 @@ void start_get(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
 
   net::Message message;
   message.header =
-      header_for(image, d.src_image, rt::kHandlerCopyGetReq, finish);
+      image.make_header(d.src_image, rt::kHandlerCopyGetReq, finish);
   WriteArchive archive;
   archive.write(GetReqWire{d.src_coarray, d.src_offset_bytes, d.bytes,
                            sink_id, d.src_done});
@@ -204,7 +176,7 @@ void start_forward(Image& image, const CopyDesc& d, rt::ImplicitOpPtr op,
   }
   net::Message message;
   message.header =
-      header_for(image, d.src_image, rt::kHandlerCopyForward, finish);
+      image.make_header(d.src_image, rt::kHandlerCopyForward, finish);
   WriteArchive archive;
   archive.write(ForwardWire{d.dst_coarray, d.dst_offset_bytes,
                             d.dst_image, d.src_coarray, d.src_offset_bytes,
@@ -275,24 +247,16 @@ void copy_async_bytes(CopyDesc desc) {
   }
 
   // Predicated copy: defer initiation until preE fires. A tracked deferred
-  // copy is charged to the finish immediately (a self-message that completes
+  // copy is charged to the finish immediately (a local charge that completes
   // when the predicate fires), so the scope cannot terminate while the copy
   // is still waiting on its predicate.
-  const bool odd =
-      finish.valid() ? image.finish_state(finish).present_odd() : false;
-  if (finish.valid()) {
-    image.finish_state(finish).count_sent(odd);
-    image.finish_state(finish).count_sent_dest(image.rank());
-  }
+  const bool odd = image.charge_local(finish);
   Image* img = &image;
   CopyDesc inner = desc;
   inner.pre = RemoteEvent{};
   auto plan = [img, inner, op, finish, odd] {
     if (finish.valid()) {
-      rt::FinishState& state = img->finish_state(finish);
-      state.count_delivered(odd);
-      state.count_received(odd);
-      state.count_completed(odd);
+      img->complete_local_charge(finish, odd);
       img->runtime().engine().unblock(img->rank());
     }
     execute_plan(*img, inner, op, finish);
@@ -309,8 +273,8 @@ void copy_async_bytes(CopyDesc desc) {
   // owner, which fires a control message back when the event posts.
   const std::uint64_t plan_id = image.stash_plan(std::move(plan));
   net::Message arm;
-  arm.header = header_for(image, desc.pre.image, rt::kHandlerCopyArmPre,
-                          net::FinishKey{});
+  arm.header = image.make_header(desc.pre.image, rt::kHandlerCopyArmPre,
+                                 net::FinishKey{});
   WriteArchive archive;
   archive.write(ArmWire{desc.pre.event_id, plan_id, image.rank()});
   arm.payload = archive.take();
@@ -345,8 +309,8 @@ void install_copy_handlers(rt::Runtime& runtime) {
             static_cast<const std::uint8_t*>(block.data) +
             wire.src_offset_bytes;
 
-        net::MessageHeader resp = header_for(
-            image, message.header.source, rt::kHandlerCopyGetResp,
+        net::MessageHeader resp = image.make_header(
+            message.header.source, rt::kHandlerCopyGetResp,
             message.header.tracked ? message.header.finish
                                    : net::FinishKey{});
         const std::uint64_t bytes = wire.bytes;

@@ -40,7 +40,7 @@ void spawn_bytes(int target, TrampolineFn fn,
   // spawn implicit work, and the scope must not terminate under it.
   net::Message message;
   message.header =
-      image.make_header(target, rt::kHandlerSpawn, rt::Tracking::kTracked);
+      image.make_header(target, rt::kHandlerSpawn, image.current_finish());
   message.payload = archive.take();
 
   // Cofence tracking only applies to implicitly-synchronized spawns. Local

@@ -12,7 +12,7 @@ Image::Image(Runtime& runtime, int rank, std::uint64_t seed)
   world->id = 0;
   world->my_rank = rank;
   world->members = runtime.world_members();
-  teams_.emplace(0, std::move(world));
+  teams_[0].data = std::move(world);
 }
 
 Image::~Image() = default;
@@ -35,7 +35,7 @@ void Image::pop_finish() {
 }
 
 std::uint32_t Image::next_finish_seq(int team_id) {
-  return finish_seqs_[team_id]++;
+  return teams_[team_id].finish_seq++;
 }
 
 FinishState& Image::finish_state(const net::FinishKey& key) {
@@ -60,47 +60,49 @@ bool Image::finish_scope_passed(const net::FinishKey& key) const {
   // number (next_finish_seq post-increments, so "entered seq s" leaves the
   // counter at s + 1). A member that never reached the scope has not passed
   // it — it could still enter and contribute.
-  const auto seq = finish_seqs_.find(key.team);
-  return seq != finish_seqs_.end() && seq->second > key.seq;
+  const auto team = teams_.find(key.team);
+  return team != teams_.end() && team->second.finish_seq > key.seq;
 }
 
 /// --- message send helpers ----------------------------------------------------
 
 net::MessageHeader Image::make_header(int dest_world, net::HandlerId handler,
-                                      Tracking tracking) {
+                                      const net::FinishKey& finish) {
   net::MessageHeader header;
   header.source = rank_;
   header.dest = dest_world;
   header.handler = handler;
-  if (tracking == Tracking::kTracked) {
-    const net::FinishKey key = current_finish();
-    if (key.valid()) {
-      header.finish = key;
-      header.tracked = true;
-      header.from_odd_epoch = finish_state(key).present_odd();
-    }
+  if (finish.valid()) {
+    header.finish = finish;
+    header.tracked = true;
+    header.from_odd_epoch = finish_state(finish).present_odd();
   }
   return header;
 }
 
-void Image::send_message(net::Message message, net::SendCallbacks callbacks) {
-  const net::MessageHeader& header = message.header;
-  if (header.tracked) {
-    finish_state(header.finish).count_sent(header.from_odd_epoch);
-    finish_state(header.finish).count_sent_dest(header.dest);
-    // Count `delivered` when the ack returns; chain any caller callback.
-    Image* self = this;
-    const net::FinishKey key = header.finish;
-    const bool odd = header.from_odd_epoch;
-    auto chained = std::move(callbacks.on_acked);
-    callbacks.on_acked = [self, key, odd, chained = std::move(chained)] {
-      self->finish_state(key).count_delivered(odd);
-      self->runtime_.engine().unblock(self->rank_);
-      if (chained) {
-        chained();
-      }
-    };
+void Image::track_send(const net::MessageHeader& header,
+                       net::SendCallbacks& callbacks) {
+  if (!header.tracked) {
+    return;
   }
+  finish_state(header.finish).count_sent(header.from_odd_epoch);
+  finish_state(header.finish).count_sent_dest(header.dest);
+  // Count `delivered` when the ack returns; chain any caller callback.
+  Image* self = this;
+  const net::FinishKey key = header.finish;
+  const bool odd = header.from_odd_epoch;
+  auto chained = std::move(callbacks.on_acked);
+  callbacks.on_acked = [self, key, odd, chained = std::move(chained)] {
+    self->finish_state(key).count_delivered(odd);
+    self->runtime_.engine().unblock(self->rank_);
+    if (chained) {
+      chained();
+    }
+  };
+}
+
+void Image::send_message(net::Message message, net::SendCallbacks callbacks) {
+  track_send(message.header, callbacks);
   runtime_.network().send(std::move(message), std::move(callbacks));
 }
 
@@ -108,23 +110,30 @@ void Image::send_staged_message(
     net::MessageHeader header, std::size_t size_hint,
     std::function<std::vector<std::uint8_t>()> read,
     net::SendCallbacks callbacks) {
-  if (header.tracked) {
-    finish_state(header.finish).count_sent(header.from_odd_epoch);
-    finish_state(header.finish).count_sent_dest(header.dest);
-    Image* self = this;
-    const net::FinishKey key = header.finish;
-    const bool odd = header.from_odd_epoch;
-    auto chained = std::move(callbacks.on_acked);
-    callbacks.on_acked = [self, key, odd, chained = std::move(chained)] {
-      self->finish_state(key).count_delivered(odd);
-      self->runtime_.engine().unblock(self->rank_);
-      if (chained) {
-        chained();
-      }
-    };
-  }
+  track_send(header, callbacks);
   runtime_.network().send_staged(header, size_hint, std::move(read),
                                  std::move(callbacks));
+}
+
+bool Image::charge_local(const net::FinishKey& finish) {
+  if (!finish.valid()) {
+    return false;
+  }
+  FinishState& state = finish_state(finish);
+  const bool odd = state.present_odd();
+  state.count_sent(odd);
+  state.count_sent_dest(rank_);
+  return odd;
+}
+
+void Image::complete_local_charge(const net::FinishKey& finish, bool odd) {
+  if (!finish.valid()) {
+    return;
+  }
+  FinishState& state = finish_state(finish);
+  state.count_delivered(odd);
+  state.count_received(odd);
+  state.count_completed(odd);
 }
 
 /// --- cofence ------------------------------------------------------------------
@@ -163,7 +172,7 @@ Event* Image::find_event(std::uint64_t id) {
 /// --- coarrays -------------------------------------------------------------------
 
 std::uint64_t Image::next_coarray_seq(int team_id) {
-  return coarray_seqs_[team_id]++;
+  return teams_[team_id].coarray_seq++;
 }
 
 void Image::register_block(std::uint64_t id, BlockInfo info) {
@@ -183,24 +192,27 @@ BlockInfo Image::lookup_block(std::uint64_t id) const {
 
 /// --- teams -----------------------------------------------------------------------
 
-Team Image::world_team() const { return Team(teams_.at(0)); }
+Team Image::world_team() const { return Team(teams_.at(0).data); }
 
 void Image::add_team(std::shared_ptr<const TeamData> data) {
   CAF2_ASSERT(data != nullptr, "add_team(nullptr)");
-  teams_.emplace(data->id, std::move(data));
+  TeamRecord& team = teams_[data->id];
+  if (team.data == nullptr) {
+    team.data = std::move(data);
+  }
 }
 
 std::shared_ptr<const TeamData> Image::find_team(int id) const {
   auto it = teams_.find(id);
-  return it == teams_.end() ? nullptr : it->second;
+  return it == teams_.end() ? nullptr : it->second.data;
 }
 
 std::uint32_t Image::next_split_seq(int team_id) {
-  return split_seqs_[team_id]++;
+  return teams_[team_id].split_seq++;
 }
 
 std::uint64_t Image::next_coevent_slot(int team_id) {
-  return coevent_slots_[team_id]++;
+  return teams_[team_id].coevent_slot++;
 }
 
 /// --- collectives -------------------------------------------------------------------
@@ -210,7 +222,7 @@ PendingColl& Image::coll_state(const CollKey& key) { return colls_[key]; }
 void Image::erase_coll_state(const CollKey& key) { colls_.erase(key); }
 
 std::uint32_t Image::next_coll_seq(int team_id) {
-  return coll_seqs_[team_id]++;
+  return teams_[team_id].coll_seq++;
 }
 
 /// --- deferred plans -----------------------------------------------------------------

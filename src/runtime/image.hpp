@@ -37,9 +37,6 @@ namespace caf2::rt {
 
 class Runtime;
 
-/// Marker for whether a message participates in finish accounting.
-enum class Tracking : std::uint8_t { kUntracked, kTracked };
-
 /// A buffered or dispatched collective stage message. `data` is the stage's
 /// bulk attachment itself: a view on the sender's shared buffer, not a copy.
 struct CollStageMsg {
@@ -156,12 +153,11 @@ class Image {
 
   /// --- message send helpers ------------------------------------------------
 
-  /// Build a header for a message from this image. When \p tracking is
-  /// kTracked and a finish scope is active, the header carries the scope key
-  /// and this image's present epoch parity; otherwise the message is
-  /// untracked.
+  /// Build a header for a message from this image. When \p finish is valid
+  /// the header is tracked: it carries the scope key and this image's
+  /// present epoch parity in that scope. Otherwise the message is untracked.
   net::MessageHeader make_header(int dest_world, net::HandlerId handler,
-                                 Tracking tracking);
+                                 const net::FinishKey& finish);
 
   /// Send with finish accounting: counts `sent` now and `delivered` when the
   /// delivery acknowledgement returns, then invokes \p callbacks.
@@ -172,6 +168,16 @@ class Image {
   void send_staged_message(net::MessageHeader header, std::size_t size_hint,
                            std::function<std::vector<std::uint8_t>()> read,
                            net::SendCallbacks callbacks = {});
+
+  /// Charge a local operation to finish scope \p finish as a self-message,
+  /// so the scope cannot terminate before the operation completes: counts
+  /// `sent` now. Returns the epoch parity to pass to complete_local_charge().
+  /// An invalid key charges nothing.
+  bool charge_local(const net::FinishKey& finish);
+
+  /// Complete a charge_local(): counts `delivered`, `received` and
+  /// `completed` in the charged epoch.
+  void complete_local_charge(const net::FinishKey& finish, bool odd);
 
   /// --- cofence -------------------------------------------------------------
 
@@ -229,6 +235,24 @@ class Image {
 
   void execute(net::Message&& message);
 
+  /// Finish accounting of a message send: for a tracked \p header, count
+  /// `sent` now and chain a `delivered` count (plus an unblock of this
+  /// image) in front of \p callbacks' on_acked.
+  void track_send(const net::MessageHeader& header,
+                  net::SendCallbacks& callbacks);
+
+  /// Everything this image keeps per team id, created on first use: the
+  /// team itself (null until add_team(); an id can be counted before the
+  /// image joins) and the per-team sequence counters.
+  struct TeamRecord {
+    std::shared_ptr<const TeamData> data;
+    std::uint32_t finish_seq = 0;
+    std::uint64_t coarray_seq = 0;
+    std::uint32_t split_seq = 0;
+    std::uint64_t coevent_slot = 0;
+    std::uint32_t coll_seq = 0;
+  };
+
   Runtime& runtime_;
   int rank_;
   Xoshiro256ss rng_;
@@ -239,7 +263,6 @@ class Image {
   // finish
   std::vector<net::FinishKey> finish_stack_;
   std::unordered_map<net::FinishKey, FinishState> finish_states_;
-  std::unordered_map<int, std::uint32_t> finish_seqs_;
 
   // cofence
   CofenceTracker cofence_;
@@ -249,20 +272,17 @@ class Image {
   std::unordered_map<std::uint64_t, Event*> events_;
 
   // coarrays
-  std::unordered_map<int, std::uint64_t> coarray_seqs_;
   std::unordered_map<std::uint64_t, BlockInfo> blocks_;
 
   // per-image extension state (see scratch())
   std::unordered_map<const void*, std::shared_ptr<void>> scratch_;
 
-  // teams
-  std::unordered_map<int, std::shared_ptr<const TeamData>> teams_;
-  std::unordered_map<int, std::uint32_t> split_seqs_;
-  std::unordered_map<int, std::uint64_t> coevent_slots_;
+  // teams and their per-team counters (finish, coarray, split, coevent,
+  // collective sequence numbers)
+  std::unordered_map<int, TeamRecord> teams_;
 
   // collectives
   std::map<CollKey, PendingColl> colls_;
-  std::unordered_map<int, std::uint32_t> coll_seqs_;
 
   // deferred plans / get sinks
   std::uint64_t op_id_counter_ = 0;

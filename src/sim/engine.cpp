@@ -27,19 +27,6 @@ std::string bad_env(const char* name, const char* value,
   return std::string(name) + "='" + value + "' is not valid (expected " +
          expected + ")";
 }
-
-/// A boolean environment switch: "0"/"off" and "1"/"on" override \p
-/// configured; unset or empty keeps it; anything else throws
-/// caf2::UsageError naming the variable.
-bool env_flag(const char* name, bool configured) {
-  if (const char* env = env_value(name)) {
-    const bool off = std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0;
-    const bool on = std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0;
-    CAF2_REQUIRE(off || on, bad_env(name, env, "0, off, 1 or on"));
-    return on;
-  }
-  return configured;
-}
 }  // namespace
 
 int resolve_shards(int configured) {
@@ -85,9 +72,6 @@ void*& Engine::context_slot(int index) {
 Engine::Engine(int participants, EngineOptions options)
     : options_(std::move(options)) {
   CAF2_REQUIRE(participants > 0, "Engine needs at least one participant");
-  fastpath_ =
-      options_.enable_fastpath && !env_flag("CAF2_SIM_NO_FASTPATH", false);
-
   int shard_count = resolve_shards(options_.shards);
   lookahead_ = options_.lookahead_us;
   if (lookahead_ <= 0.0) {
@@ -441,9 +425,7 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
     target.state = PState::kRunnable;
     if (target.id != shard.token_owner) {
       // Counted only when the token moves between participants, so the
-      // value is a pure function of the dispatch order: identical with the
-      // fast path on or off (a fast-pathed self-wake is exactly a dispatch
-      // that keeps the token in place).
+      // value is a pure function of the dispatch order.
       shard.token_owner = target.id;
       shard.context_switches.fetch_add(1, std::memory_order_relaxed);
     }
@@ -476,38 +458,6 @@ void Engine::advance(double dt) {
   Participant& self = *participants_[tls_context.id];
   CAF2_ASSERT(self.active, "advance() caller does not hold the token");
   Shard& shard = home_shard(self.id);
-
-  // Self-wake fast path: the caller holds the token, so every shard field
-  // below is owned by this context until it suspends back to the shard's
-  // scheduler on the same OS thread. If the wake we are about to
-  // schedule — (target, next_seq) — would be the very next event dispatched,
-  // and the event budget permits dispatching it, skip the heap round-trip
-  // and the switch_out() handoff entirely. Ties at `target` go to the heap
-  // (existing events hold smaller sequence numbers), so the strict `>`
-  // comparison is exact, and the recorded trace (kAdvance then kWake) is
-  // bit-identical to the slow path's. The jump must also stay strictly
-  // inside the window — the shard clock may never reach window_end, or later
-  // cross-shard merges could land in its past.
-  if (fastpath_ && !failed() &&
-      (shard.heap.empty() ||
-       shard.heap.top().at >
-           shard.now_us.load(std::memory_order_relaxed) + dt) &&
-      shard.now_us.load(std::memory_order_relaxed) + dt <
-          shard.window_end.load(std::memory_order_relaxed) &&
-      (options_.max_events == 0 ||
-       total_dispatched() < options_.max_events)) {
-    record(shard, TraceKind::kAdvance, self.id);
-    const double target = shard.now_us.load(std::memory_order_relaxed) + dt;
-    if (observer_ != nullptr && dt > 0.0) {
-      observer_->on_compute(
-          self.id, shard.now_us.load(std::memory_order_relaxed), target);
-    }
-    ++shard.next_seq;  // the number the slow path's wake would consume
-    shard.dispatched.fetch_add(1, std::memory_order_relaxed);
-    shard.now_us.store(target, std::memory_order_relaxed);
-    record(shard, TraceKind::kWake, self.id);
-    return;
-  }
 
   record(shard, TraceKind::kAdvance, self.id);
   const double target = shard.now_us.load(std::memory_order_relaxed) + dt;

@@ -27,14 +27,9 @@
 ///  - participants that block without a scheduled wake are resumed only by a
 ///    subsequent unblock() from a callback or another participant.
 ///
-/// Two hot-path properties keep dispatch cheap (DESIGN.md §4.6):
-///  - heap events are 24-byte PODs; a Call event's closure lives in a pooled
-///    small-buffer slot (InlineFn), not in a freshly allocated std::function;
-///  - when advance()/yield() can prove the caller's own wake would be the
-///    very next event dispatched, it short-circuits the push/pop/handoff
-///    entirely (the self-wake fast path). The fast path is trace-identical
-///    to the slow path; set CAF2_SIM_NO_FASTPATH=1 (or
-///    EngineOptions::enable_fastpath = false) to force the slow path.
+/// Dispatch stays cheap because heap events are 24-byte PODs: a Call
+/// event's closure lives in a pooled small-buffer slot (InlineFn), not in a
+/// freshly allocated std::function (DESIGN.md §4.6).
 ///
 /// --- windows and shards (DESIGN.md §4.11) -----------------------------------
 ///
@@ -138,13 +133,6 @@ struct EngineOptions {
   /// discarded, so record_trace on a long 1024-image run cannot grow without
   /// bound. The default bounds the trace at ~128 MiB per shard.
   std::uint64_t max_trace_entries = std::uint64_t{1} << 22;
-
-  /// Enable the self-wake fast path (see file comment). The environment
-  /// variable CAF2_SIM_NO_FASTPATH="1"/"on" forces it off, "0"/"off" keeps
-  /// this setting, and any other value throws caf2::UsageError. Results are
-  /// bit-identical either way, so the switch exists only for regression
-  /// testing and micro-benchmark comparisons.
-  bool enable_fastpath = true;
 
   /// Quiet-period watchdog (virtual microseconds; 0 = disabled). When every
   /// unfinished participant is blocked and the earliest pending event lies
@@ -295,13 +283,10 @@ class Engine {
   /// Total events dispatched so far (summed over shards).
   std::uint64_t event_count() const;
 
-  /// True when the self-wake fast path is active (options + environment).
-  bool fastpath_enabled() const { return fastpath_; }
-
   /// Token handoffs between *different* participants dispatched so far,
   /// summed over shards. Within a shard this is a pure function of the
-  /// dispatch order, so bit-identical with the fast path on or off — the
-  /// determinism suite compares it.
+  /// dispatch order, so bit-identical across repeats — the determinism
+  /// suite compares it.
   std::uint64_t context_switch_count() const;
 
   /// Recorded trace (empty unless EngineOptions::record_trace). Populated
@@ -537,7 +522,6 @@ class Engine {
   std::vector<std::int32_t> shard_index_;  ///< participant id -> shard
   std::vector<std::unique_ptr<Participant>> participants_;
   EngineOptions options_;
-  bool fastpath_ = true;
   double lookahead_ = 0.0;
   /// Width of every window past the global minimum: the lookahead, or
   /// unbounded for one shard, capped at the watchdog quiet period.

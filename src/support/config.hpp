@@ -19,11 +19,10 @@ namespace caf2 {
 ///
 /// The fault model perturbs the interconnect deterministically: every fault
 /// decision is drawn from a dedicated RNG stream (independent of the jitter
-/// stream), so a run with a given seed + FaultPlan is bit-reproducible —
-/// including with the scheduler fast path on or off. Faults only ever apply
-/// when the reliable-delivery protocol is active (see ReliabilityParams);
-/// injecting loss into the bare best-effort network would simply lose the
-/// message.
+/// stream), so a run with a given seed + FaultPlan is bit-reproducible.
+/// Faults only ever apply when the reliable-delivery protocol is active (see
+/// ReliabilityParams); injecting loss into the bare best-effort network
+/// would simply lose the message.
 
 /// What a scripted one-shot fault does to its target delivery attempt.
 enum class FaultKind : std::uint8_t {
@@ -214,17 +213,11 @@ struct ObsConfig {
   std::size_t max_net_track_bytes = std::size_t{8} << 20;
 
   /// Always-on flight recorder (obs/flight_recorder.hpp): per-image rings of
-  /// POD events feeding postmortems. Independent of `enabled` (the span
-  /// recorder); recording never allocates past construction and never
-  /// schedules engine events, so schedules stay bit-identical.
+  /// obs::kFlightRecorderEntries POD events feeding postmortems. Independent of
+  /// `enabled` (the span recorder); recording never allocates past
+  /// construction and never schedules engine events, so schedules stay
+  /// bit-identical.
   bool flight_recorder = true;
-
-  /// Ring capacity per image, rounded up to a power of two (minimum 8).
-  std::size_t flight_recorder_entries = 256;
-
-  /// How many of each image's most recent flight-recorder events a rendered
-  /// postmortem includes.
-  std::size_t postmortem_recent_events = 16;
 };
 
 /// Complete configuration of a simulated SPMD run.
@@ -246,11 +239,6 @@ struct RuntimeOptions {
   /// infinite message loops in tests. Zero means unlimited.
   std::uint64_t max_events = 0;
 
-  /// Enable the simulator's self-wake fast path (sim/engine.hpp). Results
-  /// are bit-identical with it on or off; the switch exists for regression
-  /// tests and perf comparisons. CAF2_SIM_NO_FASTPATH=1 also disables it.
-  bool sim_fastpath = true;
-
   /// Number of engine shards: worker threads executing the conservative
   /// parallel-DES scheme of DESIGN.md §4.11. <= 0 means "resolve from the
   /// environment": CAF2_SIM_SHARDS when set, one shard otherwise; an
@@ -271,15 +259,6 @@ struct RuntimeOptions {
   /// through, e.g., a runaway retransmission backoff chain. 0 disables the
   /// quiet-period check; proven deadlocks always produce the full report.
   double watchdog_quiet_us = 0.0;
-
-  /// Path to a collective selection-table JSON artifact (produced by
-  /// `bench_collectives --tune`, parsed by ops::load_selection_table_file).
-  /// When non-empty, caf2::run loads it before the run starts so
-  /// CollAlgorithm::kAuto picks the measured winner per (collective, team
-  /// size, payload) instead of the built-in defaults. The environment
-  /// variable CAF2_COLL_TABLE overrides this. Empty = built-in defaults
-  /// (or whatever ops::set_selection_table installed programmatically).
-  std::string coll_selection_table;
 
   /// Human-readable label used in error messages and traces.
   std::string label = "caf2";

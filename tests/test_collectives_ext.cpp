@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -693,6 +696,65 @@ TEST(CollSelection, AutoFollowsTheLoadedTable) {
             after.end());
   EXPECT_EQ(std::find(after.begin(), after.end(), "allreduce/binomial"),
             after.end());
+  ops::clear_selection_table();
+}
+
+/// The CAF2_COLL_TABLE run path: run_stats loads the named artifact before
+/// the run starts, so kAuto follows it exactly as if the table's schedule had
+/// been requested explicitly. An unreadable path is a UsageError naming it.
+TEST(CollSelection, EnvTableDrivesAutoAtRunEntry) {
+  const auto workload = [](CollAlgorithm algorithm) {
+    return [algorithm] {
+      Team world = team_world();
+      long value = world.rank();
+      Event done;
+      allreduce_async<long>(world, std::span<long>(&value, 1), RedOp::kSum,
+                            {.src_done = done.handle(),
+                             .algorithm = algorithm});
+      done.wait();
+      EXPECT_EQ(value, 6);
+      team_barrier(world);
+    };
+  };
+  const RuntimeOptions options = ext_options(4);
+  ops::clear_selection_table();
+  const RunStats untuned = run_stats(options, workload(CollAlgorithm::kAuto));
+  const RunStats ring = run_stats(options, workload(CollAlgorithm::kRing));
+  ASSERT_NE(ring.events, untuned.events)
+      << "the table's schedule must be distinguishable from the default";
+
+  ops::CollSelectionTable table;
+  table.set(ops::CollKind::kAllreduce, 4, sizeof(long), CollAlgorithm::kRing);
+  const std::string path = ::testing::TempDir() + "caf2_coll_table_env.json";
+  {
+    std::ofstream out(path);
+    out << table.to_json();
+  }
+  const char* prior_env = std::getenv("CAF2_COLL_TABLE");
+  const bool had_prior = prior_env != nullptr;
+  const std::string prior = had_prior ? prior_env : "";
+  ::setenv("CAF2_COLL_TABLE", path.c_str(), 1);
+  const RunStats from_env = run_stats(options, workload(CollAlgorithm::kAuto));
+  ops::clear_selection_table();
+  EXPECT_EQ(from_env.events, ring.events);
+  EXPECT_EQ(from_env.virtual_us, ring.virtual_us);
+  EXPECT_EQ(from_env.context_switches, ring.context_switches);
+
+  const std::string missing = ::testing::TempDir() + "caf2_no_such_table.json";
+  ::setenv("CAF2_COLL_TABLE", missing.c_str(), 1);
+  try {
+    (void)run_stats(options, workload(CollAlgorithm::kAuto));
+    ADD_FAILURE() << "a missing table file was accepted";
+  } catch (const UsageError& error) {
+    EXPECT_NE(std::string(error.what()).find(missing), std::string::npos)
+        << "actual message: " << error.what();
+  }
+  if (had_prior) {
+    ::setenv("CAF2_COLL_TABLE", prior.c_str(), 1);
+  } else {
+    ::unsetenv("CAF2_COLL_TABLE");
+  }
+  std::remove(path.c_str());
   ops::clear_selection_table();
 }
 

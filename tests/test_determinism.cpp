@@ -1,27 +1,21 @@
-/// Determinism regression tests for the scheduler fast path (DESIGN.md §4.6).
+/// Determinism regression tests: repeat identity at three levels.
 ///
-/// The self-wake fast path and the pooled Call-event storage are pure
-/// performance transformations: the engine must produce *bit-identical*
-/// results with them enabled, disabled via EngineOptions, or disabled via
-/// the CAF2_SIM_NO_FASTPATH environment variable. These tests pin that down
-/// at both layers:
-///  - engine level: recorded traces (every scheduler decision) and context
-///    switch counts must match entry for entry between fast path on and off
-///    and across repeats;
-///  - runtime level: a seeded RandomAccess workload over the jittered
-///    Gemini-class network must dispatch the same number of events, end at
-///    the same virtual time, and compute the same kernel timings with the
-///    fast path on and off — with and without injected faults.
+/// A seeded run must reproduce bit-for-bit when repeated in one process:
+///  - engine level: the recorded trace (every scheduler decision), the
+///    context switch count and the event count of a mixed workload;
+///  - full-stack level: a seeded RandomAccess workload over the jittered
+///    Gemini-class network dispatches the same number of events, ends at
+///    the same virtual time and computes the same kernel timings;
+///  - faulty-run level: the same stack under an active FaultPlan
+///    reproduces its scheduler trace and fault counters (DESIGN.md §4.7).
 ///
 /// Deterministic RunStats fields (events, virtual_us, context_switches,
-/// faults) are compared bit-for-bit; fastpath/peak_rss_bytes describe the
-/// configuration or the host and are deliberately excluded.
+/// faults) are compared bit-for-bit; peak_rss_bytes describes the host and
+/// is deliberately excluded.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "core/caf2.hpp"
 #include "core/detectors.hpp"
@@ -35,7 +29,7 @@ namespace {
 
 using namespace caf2::sim;
 
-/// A workload that exercises every fast-path decision point: self-wakes
+/// A workload that exercises every scheduler decision point: self-wakes
 /// (advance with an empty/later heap), contested wakes (equal-time events
 /// from other participants), Call callbacks, blocking, and stray unblocks.
 void mixed_body(int id) {
@@ -60,51 +54,23 @@ struct EngineResult {
   std::uint64_t events = 0;
 };
 
-EngineResult traced_engine_run(bool enable_fastpath) {
+EngineResult traced_engine_run() {
   EngineOptions options;
   options.record_trace = true;
-  options.enable_fastpath = enable_fastpath;
   Engine engine(4, options);
   engine.run(mixed_body);
-  EXPECT_EQ(engine.fastpath_enabled(), enable_fastpath);
   EXPECT_GT(engine.trace().size(), 100u);
   return {render_trace(engine.trace()), engine.context_switch_count(),
           engine.event_count()};
 }
 
-std::string traced_run(bool enable_fastpath) {
-  return traced_engine_run(enable_fastpath).trace;
-}
-
 TEST(Determinism, EngineTraceIdenticalAcrossRepeats) {
-  EXPECT_EQ(traced_run(true), traced_run(true));
-}
-
-TEST(Determinism, EngineTraceIdenticalFastPathOnAndOff) {
-  EXPECT_EQ(traced_run(true), traced_run(false));
-}
-
-TEST(Determinism, EnvVarForcesSlowPathWithIdenticalTrace) {
-  const std::string baseline = traced_run(true);
-  ASSERT_EQ(setenv("CAF2_SIM_NO_FASTPATH", "1", 1), 0);
-  EngineOptions options;
-  options.record_trace = true;
-  options.enable_fastpath = true;  // env var must win
-  Engine engine(4, options);
-  engine.run(mixed_body);
-  unsetenv("CAF2_SIM_NO_FASTPATH");
-  EXPECT_FALSE(engine.fastpath_enabled());
-  EXPECT_EQ(render_trace(engine.trace()), baseline);
-}
-
-TEST(Determinism, ContextSwitchCountInvariantUnderFastPath) {
-  // context_switches counts token handoffs (dispatches that move the token
-  // to a different participant), which is a pure function of the dispatch
-  // order — so it must not change when the fast path elides heap traffic.
-  const EngineResult fast = traced_engine_run(true);
-  const EngineResult slow = traced_engine_run(false);
-  EXPECT_GT(fast.context_switches, 0u);
-  EXPECT_EQ(fast.context_switches, slow.context_switches);
+  const EngineResult first = traced_engine_run();
+  const EngineResult second = traced_engine_run();
+  EXPECT_EQ(first.trace, second.trace);
+  EXPECT_GT(first.context_switches, 0u);
+  EXPECT_EQ(first.context_switches, second.context_switches);
+  EXPECT_EQ(first.events, second.events);
 }
 
 /// One full-stack seeded run: RandomAccess with function shipping on the
@@ -113,20 +79,13 @@ TEST(Determinism, ContextSwitchCountInvariantUnderFastPath) {
 struct StackResult {
   caf2::RunStats stats;
   double elapsed_us = 0.0;
-
-  bool operator==(const StackResult& other) const {
-    return stats.events == other.stats.events &&
-           stats.virtual_us == other.stats.virtual_us &&
-           elapsed_us == other.elapsed_us;
-  }
 };
 
-StackResult stack_run(bool fastpath) {
+StackResult stack_run() {
   caf2::RuntimeOptions options;
   options.num_images = 4;
   options.net = caf2::NetworkParams::gemini_like();
   options.seed = 20130520;
-  options.sim_fastpath = fastpath;
   StackResult result;
   result.stats = caf2::run_stats(options, [&] {
     caf2::kernels::RaConfig config;
@@ -139,33 +98,24 @@ StackResult stack_run(bool fastpath) {
       result.elapsed_us = stats.elapsed_us;
     }
   });
-  EXPECT_EQ(result.stats.fastpath, fastpath);
   EXPECT_GT(result.stats.events, 1000u);
   return result;
 }
 
 TEST(Determinism, RuntimeWorkloadIdenticalAcrossRepeats) {
-  const StackResult first = stack_run(true);
-  const StackResult second = stack_run(true);
+  const StackResult first = stack_run();
+  const StackResult second = stack_run();
   EXPECT_EQ(first.stats.events, second.stats.events);
   EXPECT_EQ(first.stats.virtual_us, second.stats.virtual_us);
+  EXPECT_EQ(first.stats.context_switches, second.stats.context_switches);
   EXPECT_EQ(first.elapsed_us, second.elapsed_us);
-}
-
-TEST(Determinism, RuntimeWorkloadIdenticalFastPathOnAndOff) {
-  const StackResult fast = stack_run(true);
-  const StackResult slow = stack_run(false);
-  EXPECT_EQ(fast.stats.events, slow.stats.events);
-  EXPECT_EQ(fast.stats.virtual_us, slow.stats.virtual_us);
-  EXPECT_EQ(fast.stats.context_switches, slow.stats.context_switches);
-  EXPECT_EQ(fast.elapsed_us, slow.elapsed_us);
 }
 
 /// --- determinism under injected faults (DESIGN.md §4.7) ---------------------
 ///
 /// Fault decisions come from a dedicated RNG stream, so a seeded run with an
-/// active FaultPlan must be bit-reproducible — including the full scheduler
-/// trace with the fast path on vs off.
+/// active FaultPlan must be bit-reproducible, down to the full scheduler
+/// trace.
 
 void fault_bump(caf2::Coref<long> counter) { counter.local()[0] += 1; }
 
@@ -174,7 +124,7 @@ struct FaultyResult {
   std::string trace;
 };
 
-FaultyResult faulty_traced_run(bool fastpath) {
+FaultyResult faulty_traced_run() {
   caf2::RuntimeOptions options;
   options.num_images = 4;
   options.net = caf2::NetworkParams::gemini_like();
@@ -185,7 +135,6 @@ FaultyResult faulty_traced_run(bool fastpath) {
   options.net.faults.all.delay_probability = 0.10;
   options.net.faults.all.delay_max_us = 5.0;
   options.seed = 424242;
-  options.sim_fastpath = fastpath;
   options.record_trace = true;
 
   caf2::rt::Runtime runtime(options);
@@ -212,7 +161,6 @@ FaultyResult faulty_traced_run(bool fastpath) {
   result.stats.events = runtime.engine().event_count();
   result.stats.virtual_us = runtime.engine().now();
   result.stats.context_switches = runtime.engine().context_switch_count();
-  result.stats.fastpath = runtime.engine().fastpath_enabled();
   result.stats.faults = runtime.network().fault_stats();
   result.trace = render_trace(runtime.engine().trace());
   EXPECT_GT(result.stats.faults.deliveries_dropped +
@@ -224,26 +172,17 @@ FaultyResult faulty_traced_run(bool fastpath) {
 }
 
 TEST(Determinism, FaultyRunTraceIdenticalAcrossRepeats) {
-  const FaultyResult first = faulty_traced_run(true);
-  const FaultyResult second = faulty_traced_run(true);
+  const FaultyResult first = faulty_traced_run();
+  const FaultyResult second = faulty_traced_run();
   EXPECT_EQ(first.trace, second.trace);
   EXPECT_EQ(first.stats.events, second.stats.events);
-}
-
-TEST(Determinism, FaultyRunTraceIdenticalFastPathOnAndOff) {
-  const FaultyResult fast = faulty_traced_run(true);
-  const FaultyResult slow = faulty_traced_run(false);
-  EXPECT_EQ(fast.stats.fastpath, true);
-  EXPECT_EQ(slow.stats.fastpath, false);
-  EXPECT_EQ(fast.trace, slow.trace);
-  EXPECT_EQ(fast.stats.events, slow.stats.events);
-  EXPECT_EQ(fast.stats.virtual_us, slow.stats.virtual_us);
-  EXPECT_EQ(fast.stats.context_switches, slow.stats.context_switches);
-  EXPECT_EQ(fast.stats.faults.deliveries_dropped,
-            slow.stats.faults.deliveries_dropped);
-  EXPECT_EQ(fast.stats.faults.retransmits, slow.stats.faults.retransmits);
-  EXPECT_EQ(fast.stats.faults.duplicates_suppressed,
-            slow.stats.faults.duplicates_suppressed);
+  EXPECT_EQ(first.stats.virtual_us, second.stats.virtual_us);
+  EXPECT_EQ(first.stats.context_switches, second.stats.context_switches);
+  EXPECT_EQ(first.stats.faults.deliveries_dropped,
+            second.stats.faults.deliveries_dropped);
+  EXPECT_EQ(first.stats.faults.retransmits, second.stats.faults.retransmits);
+  EXPECT_EQ(first.stats.faults.duplicates_suppressed,
+            second.stats.faults.duplicates_suppressed);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -163,6 +164,53 @@ TEST(Postmortem, CrossFinishScopeCycleNamesTheFinishResource) {
     }
   }
   EXPECT_TRUE(image1_in_detection) << obs::to_text(pm);
+}
+
+TEST(Postmortem, SplitTeamFinishCycleNamesTheFinishResource) {
+  // Images 0 and 1 split off a team (2 and 3 opt out and return). Both
+  // complete one finish scope on it; then image 0 blocks on an event before
+  // the second scope while image 1 waits in that scope's termination
+  // detection. Image 0 holds no state for the second scope and has handed
+  // out only the first scope's sequence number, so it has not passed the
+  // scope and stays in the finish resource's satisfier set.
+  RuntimeOptions options = base_options(4);
+  const obs::StallError error = expect_stall(options, [] {
+    Team world = team_world();
+    Team pair = world.split(world.rank() < 2 ? 0 : -1, world.rank());
+    if (world.rank() >= 2) {
+      return;
+    }
+    finish(pair, [] {});
+    if (pair.rank() == 0) {
+      Event never;
+      never.wait();
+    }
+    finish(pair, [] {});
+  });
+  ASSERT_NE(error.postmortem(), nullptr);
+  const obs::Postmortem& pm = *error.postmortem();
+  EXPECT_EQ(pm.kind, obs::FailKind::kDeadlock);
+  EXPECT_EQ(pm.classification, obs::StallClass::kDeadlockCycle);
+  const obs::WaitGraph::Satisfiers* finish_sat = nullptr;
+  for (const obs::WaitGraph::Satisfiers& sat : pm.graph.resources) {
+    if (sat.resource.kind == obs::ResourceKind::kFinish) {
+      ASSERT_EQ(finish_sat, nullptr) << obs::to_text(pm);
+      finish_sat = &sat;
+    }
+  }
+  ASSERT_NE(finish_sat, nullptr) << obs::to_text(pm);
+  EXPECT_NE(finish_sat->resource.a, 0u) << "the scope is on the split team";
+  EXPECT_EQ(finish_sat->resource.b, 1u) << "the second scope on that team";
+  EXPECT_EQ(finish_sat->images, (std::vector<int>{0})) << obs::to_text(pm);
+  // Images 2 and 3 wait at the exit gate, which images 0 and 1 can
+  // satisfy, so the one cycle spans all four images.
+  ASSERT_EQ(pm.graph.cycles.size(), 1u) << obs::to_text(pm);
+  const obs::WaitGraph::Cycle& cycle = pm.graph.cycles[0];
+  EXPECT_EQ(cycle.images, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_NE(std::find(cycle.resources.begin(), cycle.resources.end(),
+                      finish_sat->resource),
+            cycle.resources.end())
+      << obs::to_text(pm);
 }
 
 /// --- stalls that are NOT deadlocks -------------------------------------------

@@ -300,26 +300,4 @@ TEST(EngineEnv, ShardCountParsedStrictly) {
   EXPECT_EQ(resolve_shards(0), 1);
 }
 
-TEST(EngineEnv, NoFastpathParsedStrictly) {
-  for (const char* bad : {"bogus", "true", "2", "ON"}) {
-    ScopedEnv env("CAF2_SIM_NO_FASTPATH", bad);
-    const std::string message = usage_error([] { Engine engine(1); });
-    EXPECT_NE(message.find(std::string("CAF2_SIM_NO_FASTPATH='") + bad +
-                           "' is not valid (expected 0, off, 1 or on)"),
-              std::string::npos)
-        << "value '" << bad << "': " << message;
-  }
-  for (const char* keep : {"0", "off", ""}) {
-    ScopedEnv env("CAF2_SIM_NO_FASTPATH", keep);
-    EXPECT_TRUE(Engine(1).fastpath_enabled()) << "value '" << keep << "'";
-    EngineOptions slow;
-    slow.enable_fastpath = false;
-    EXPECT_FALSE(Engine(1, slow).fastpath_enabled());
-  }
-  for (const char* disable : {"1", "on"}) {
-    ScopedEnv env("CAF2_SIM_NO_FASTPATH", disable);
-    EXPECT_FALSE(Engine(1).fastpath_enabled()) << "value '" << disable << "'";
-  }
-}
-
 }  // namespace
