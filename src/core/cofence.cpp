@@ -11,11 +11,17 @@ void cofence(Pass downward, Pass upward) {
   obs::Recorder* const rec = image.runtime().observer();
   const double obs_begin =
       rec != nullptr ? image.runtime().engine().now() : 0.0;
-  auto& scope = image.cofence_tracker().current();
   {
     obs::BlameScope blame(rec, image.rank(), obs::Blame::kCofenceWait);
+    // Look the scope up on every test: a shipped function run while this
+    // image waits pushes its own scope, which may reallocate the stack.
+    // Handlers run to completion inside progress(), so the predicate always
+    // sees this call's scope on top again.
     image.wait_for(
-        [&scope, downward] { return scope.data_complete_for(downward); },
+        [&image, downward] {
+          return image.cofence_tracker().current().data_complete_for(
+              downward);
+        },
         "cofence",
         obs::ResourceId{obs::ResourceKind::kOpCompletion, image.rank(), 0,
                         0});

@@ -23,9 +23,8 @@
 /// what makes "overwrite the source before cofence()" a real data hazard in
 /// the simulation, exactly as on hardware with a zero-copy NIC.
 ///
-/// Reliable delivery (DESIGN.md §4.7). With an active FaultPlan (or
-/// ReliabilityParams::Mode::kOn) the network layers a retransmission
-/// protocol over the lossy wire:
+/// Reliable delivery (DESIGN.md §4.7). With an active FaultPlan the network
+/// layers a retransmission protocol over the lossy wire:
 ///  - every message carries a per-(source, dest) sequence number and is
 ///    retained at the sender until acknowledged;
 ///  - the receiver keeps a per-link dedup window (a compacted set of seen

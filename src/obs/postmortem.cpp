@@ -122,8 +122,6 @@ const char* to_string(ResourceKind kind) {
       return "finish";
     case ResourceKind::kCollective:
       return "collective";
-    case ResourceKind::kSplit:
-      return "team-split";
     case ResourceKind::kExitGate:
       return "exit-gate";
     case ResourceKind::kSteal:
@@ -148,10 +146,6 @@ std::string to_string(const ResourceId& id) {
       return out;
     case ResourceKind::kCollective:
       appendf(out, "collective(team %" PRIu64 ", seq %" PRIu64 ")", id.a,
-              id.b);
-      return out;
-    case ResourceKind::kSplit:
-      appendf(out, "team-split(team %" PRIu64 ", seq %" PRIu64 ")", id.a,
               id.b);
       return out;
     case ResourceKind::kExitGate:

@@ -71,7 +71,6 @@ enum class ResourceKind : std::uint8_t {
   kOpCompletion,  ///< local data/op completion of outstanding async ops
   kFinish,        ///< finish-scope termination (a = team id, b = seq)
   kCollective,    ///< team collective completion (a = team id, b = seq)
-  kSplit,         ///< team split computation (a = parent team id, b = seq)
   kExitGate,      ///< end-of-run exit rendezvous
   kSteal,         ///< work-steal reply from a victim (owner = victim)
 };

@@ -56,8 +56,9 @@ TreeShape tree_shape(CollAlgorithm algorithm) {
 /// barrier, whose descriptors leave it at its default). Payload ownership:
 /// the accumulator is the stage buffer itself, moved into the message to
 /// the parent; the result buffer (the root's accumulator, or the broadcast
-/// root's one snapshot) is forwarded unchanged down every edge, and each
-/// image drops its reference as soon as it has forwarded.
+/// root's one snapshot or CollDesc::shared buffer) is forwarded unchanged
+/// down every edge, and each image drops its reference as soon as it has
+/// forwarded — unless CollDesc::shared asks it to keep the buffer.
 class TreeImpl final : public CollImplBase {
  public:
   TreeImpl(rt::CollKey key, CollDesc desc)
@@ -71,7 +72,10 @@ class TreeImpl final : public CollImplBase {
     const bool root = team_rank() == desc().root;
     if (!up_) {
       if (root) {
-        deliver(image, net::SharedBytes::copy_of(desc().buf, desc().bytes));
+        deliver(image, desc().shared != nullptr
+                           ? *desc().shared
+                           : net::SharedBytes::copy_of(desc().buf,
+                                                       desc().bytes));
       }
       return;
     }
@@ -131,7 +135,9 @@ class TreeImpl final : public CollImplBase {
     // completes once the forwarded stages are injected.
     const bool source = !up_ && team_rank() == desc().root;
     CAF2_ASSERT(result.size() == desc().bytes, "tree: result size mismatch");
-    if (!source) {
+    if (!source && desc().shared != nullptr) {
+      *desc().shared = result;
+    } else if (!source) {
       copy_bytes(desc().buf, result.data(), result.size());
     }
     done_ = true;

@@ -104,6 +104,12 @@ struct CollDesc {
   /// kAlltoallv: per-team-rank receive bytes (every rank).
   std::vector<std::size_t> counts2;
 
+  /// kBroadcast only: when set, the root sends *shared as is and every
+  /// member keeps the buffer the tree delivered in *shared instead of
+  /// copying it into buf, so all members hold one buffer (team_split's
+  /// member lists).
+  net::SharedBytes* shared = nullptr;
+
   /// Sort plumbing (type-erased; see sort_async).
   void* sort_sink = nullptr;
   void (*sort_assign)(void* sink, const std::uint8_t* data,

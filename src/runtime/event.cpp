@@ -36,18 +36,35 @@ void Event::when_posted(std::function<void()> fn) {
   triggers_.push_back(std::move(fn));
 }
 
+namespace {
+/// Release semantics (paper §III-B4a): every implicit operation of the
+/// current cofence scope has reached local operation completion. The scope
+/// is looked up on every test, since a shipped function run while the image
+/// waits pushes its own scope and may reallocate the stack.
+std::function<bool()> release_complete(rt::Image& image) {
+  return [&image] {
+    return image.cofence_tracker().current().op_complete_all();
+  };
+}
+}  // namespace
+
 void Event::notify() {
   // Release semantics (paper §III-B4a): outstanding implicit operations in
   // the current scope must reach local operation completion before the
   // notification becomes visible; operations *after* the notify are free to
   // start before it.
   rt::Image& image = rt::Image::current();
+  // Another image's event is notified through a message (notify_event), so
+  // the wake stays on the owner's shard.
+  CAF2_REQUIRE(owner_ == &image,
+               "event_notify must be called by the owning image (image " +
+                   std::to_string(owner_->rank()) +
+                   "); notify another image's event with "
+                   "notify_event(event.handle())");
   obs::Recorder* const rec = image.runtime().observer();
   const double obs_begin =
       rec != nullptr ? image.runtime().engine().now() : 0.0;
-  auto& scope = image.cofence_tracker().current();
-  image.wait_for([&scope] { return scope.op_complete_all(); },
-                 "event_notify release",
+  image.wait_for(release_complete(image), "event_notify release",
                  obs::ResourceId{obs::ResourceKind::kOpCompletion,
                                  image.rank(), 0, 0});
   if (rec != nullptr) {
@@ -137,9 +154,7 @@ void notify_event(const RemoteEvent& event) {
   obs::Recorder* const rec = image.runtime().observer();
   const double obs_begin =
       rec != nullptr ? image.runtime().engine().now() : 0.0;
-  auto& scope = image.cofence_tracker().current();
-  image.wait_for([&scope] { return scope.op_complete_all(); },
-                 "event_notify release",
+  image.wait_for(release_complete(image), "event_notify release",
                  obs::ResourceId{obs::ResourceKind::kOpCompletion,
                                  image.rank(), 0, 0});
   if (rec != nullptr) {

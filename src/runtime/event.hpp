@@ -45,7 +45,9 @@ class Event {
   Event& operator=(const Event&) = delete;
 
   /// Notify with release semantics: awaits local operation completion of the
-  /// outstanding implicit operations in the current scope, then posts.
+  /// outstanding implicit operations in the current scope, then posts. Only
+  /// the owning image may call it (UsageError otherwise); other images use
+  /// notify_event(handle()).
   void notify();
 
   /// Block until at least one notification is pending, then consume it.

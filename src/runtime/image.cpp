@@ -1,5 +1,7 @@
 #include "runtime/image.hpp"
 
+#include <limits>
+
 #include "runtime/runtime.hpp"
 
 namespace caf2::rt {
@@ -11,7 +13,9 @@ Image::Image(Runtime& runtime, int rank, std::uint64_t seed)
   auto world = std::make_shared<TeamData>();
   world->id = 0;
   world->my_rank = rank;
-  world->members = runtime.world_members();
+  world->storage = runtime.world_members();
+  world->members = {reinterpret_cast<const int*>(world->storage.data()),
+                    world->storage.size() / sizeof(int)};
   teams_[0].data = std::move(world);
 }
 
@@ -207,8 +211,18 @@ std::shared_ptr<const TeamData> Image::find_team(int id) const {
   return it == teams_.end() ? nullptr : it->second.data;
 }
 
-std::uint32_t Image::next_split_seq(int team_id) {
-  return teams_[team_id].split_seq++;
+int Image::number_teams(int count) {
+  // Ids of this image's numbering are 1 + rank + n * k, k = 0, 1, ...:
+  // distinct from every other image's (a different residue mod n) and
+  // never 0, which is team_world.
+  const std::int64_t n = num_images();
+  const std::int64_t last = 1 + rank_ + n * (teams_numbered_ + count - 1);
+  CAF2_REQUIRE(last <= std::numeric_limits<int>::max(),
+               "team_split: team ids of image " + std::to_string(rank_) +
+                   " overflow int");
+  const int base = static_cast<int>(1 + rank_ + n * teams_numbered_);
+  teams_numbered_ += count;
+  return base;
 }
 
 std::uint64_t Image::next_coevent_slot(int team_id) {

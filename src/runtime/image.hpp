@@ -206,7 +206,11 @@ class Image {
   Team world_team() const;
   void add_team(std::shared_ptr<const TeamData> data);
   std::shared_ptr<const TeamData> find_team(int id) const;
-  std::uint32_t next_split_seq(int team_id);
+  /// Number \p count new teams of a split this image roots: returns the id
+  /// of the first; the k-th has id first + num_images() * k. Ids are unique
+  /// across images without shared state and never 0 (team_world). Throws
+  /// UsageError when an id would overflow int.
+  int number_teams(int count);
   std::uint64_t next_coevent_slot(int team_id);
 
   /// --- collectives ---------------------------------------------------------
@@ -248,7 +252,6 @@ class Image {
     std::shared_ptr<const TeamData> data;
     std::uint32_t finish_seq = 0;
     std::uint64_t coarray_seq = 0;
-    std::uint32_t split_seq = 0;
     std::uint64_t coevent_slot = 0;
     std::uint32_t coll_seq = 0;
   };
@@ -277,9 +280,10 @@ class Image {
   // per-image extension state (see scratch())
   std::unordered_map<const void*, std::shared_ptr<void>> scratch_;
 
-  // teams and their per-team counters (finish, coarray, split, coevent,
-  // collective sequence numbers)
+  // teams and their per-team counters (finish, coarray, coevent, collective
+  // sequence numbers); teams this image numbered as a split root
   std::unordered_map<int, TeamRecord> teams_;
+  std::int64_t teams_numbered_ = 0;
 
   // collectives
   std::map<CollKey, PendingColl> colls_;

@@ -1,6 +1,7 @@
 #include "runtime/runtime.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <string_view>
 
@@ -108,8 +109,8 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
       [this](obs::Postmortem& pm) { fill_postmortem(pm); });
   std::vector<int> world_members(static_cast<std::size_t>(options_.num_images));
   std::iota(world_members.begin(), world_members.end(), 0);
-  world_members_ =
-      std::make_shared<const std::vector<int>>(std::move(world_members));
+  world_members_ = net::SharedBytes::copy_of(
+      world_members.data(), world_members.size() * sizeof(int));
   SplitMix64 seeder(options_.seed);
   images_.reserve(static_cast<std::size_t>(options_.num_images));
   for (int rank = 0; rank < options_.num_images; ++rank) {
@@ -207,9 +208,11 @@ namespace {
 /// Satisfier set of one wait-for-graph resource: which images could, by
 /// making progress on their own, satisfy it. Conservative over-approximation
 /// per resource kind; the caller subtracts finished images and the images
-/// currently blocked on the resource itself.
+/// currently blocked on the resource itself. A team-scoped resource resolves
+/// its team on \p waiter, an image whose wait frame names the resource and
+/// which is therefore a member of the team.
 std::vector<int> raw_satisfiers(const obs::ResourceId& resource,
-                                const Image& any_image, int num_images) {
+                                const Image& waiter, int num_images) {
   std::vector<int> out;
   switch (resource.kind) {
     case obs::ResourceKind::kNone:
@@ -230,16 +233,10 @@ std::vector<int> raw_satisfiers(const obs::ResourceId& resource,
       }
       break;
     case obs::ResourceKind::kFinish:
-    case obs::ResourceKind::kCollective:
-    case obs::ResourceKind::kSplit: {
-      const auto team = any_image.find_team(static_cast<int>(resource.a));
-      if (team != nullptr) {
-        out = *team->members;
-      } else {
-        for (int rank = 0; rank < num_images; ++rank) {
-          out.push_back(rank);
-        }
-      }
+    case obs::ResourceKind::kCollective: {
+      const auto team = waiter.find_team(static_cast<int>(resource.a));
+      CAF2_ASSERT(team != nullptr, "a team-scoped wait on an unknown team");
+      out.assign(team->members.begin(), team->members.end());
       break;
     }
   }
@@ -298,7 +295,8 @@ void Runtime::fill_postmortem(obs::Postmortem& pm) {
 
   // Wait-for graph: one edge per wait frame, one node per distinct resource.
   const bool engine_busy = pm.pending_calls > 0;
-  std::vector<obs::ResourceId> resources;
+  // Each distinct resource, with the first image found waiting on it.
+  std::vector<std::pair<obs::ResourceId, int>> resources;
   for (int rank = 0; rank < num_images(); ++rank) {
     for (const obs::WaitFrame& frame :
          images_[static_cast<std::size_t>(rank)]->wait_stack()) {
@@ -307,24 +305,25 @@ void Runtime::fill_postmortem(obs::Postmortem& pm) {
       }
       pm.graph.edges.push_back(
           {rank, frame.resource, frame.reason, frame.since_us});
-      if (std::find(resources.begin(), resources.end(), frame.resource) ==
-          resources.end()) {
-        resources.push_back(frame.resource);
+      if (std::find_if(resources.begin(), resources.end(),
+                       [&frame](const auto& seen) {
+                         return seen.first == frame.resource;
+                       }) == resources.end()) {
+        resources.emplace_back(frame.resource, rank);
       }
     }
   }
-  for (const obs::ResourceId& resource : resources) {
+  for (const auto& [resource, waiter] : resources) {
     obs::WaitGraph::Satisfiers sat;
     sat.resource = resource;
     // A resource that already-scheduled engine events can satisfy is
     // "external": the run is still moving, so the resource must not close a
-    // cycle. kSplit and kExitGate are pure image-side rendezvous; everything
-    // else may be completed by an in-flight delivery, ack, or timer.
-    sat.external = engine_busy &&
-                   resource.kind != obs::ResourceKind::kSplit &&
-                   resource.kind != obs::ResourceKind::kExitGate;
-    std::vector<int> candidates =
-        raw_satisfiers(resource, *images_[0], num_images());
+    // cycle. The exit gate is a pure image-side rendezvous; everything else
+    // may be completed by an in-flight delivery, ack, or timer.
+    sat.external =
+        engine_busy && resource.kind != obs::ResourceKind::kExitGate;
+    std::vector<int> candidates = raw_satisfiers(
+        resource, *images_[static_cast<std::size_t>(waiter)], num_images());
     for (int rank : candidates) {
       if (rank < 0 || rank >= num_images()) {
         continue;
@@ -370,34 +369,6 @@ void Runtime::fill_postmortem(obs::Postmortem& pm) {
 
 obs::Postmortem Runtime::dump_postmortem() {
   return engine_->snapshot_postmortem("on-demand postmortem");
-}
-
-SplitOp& Runtime::split_op(int team_id, std::uint32_t seq, int expected) {
-  // Caller holds split_mutex() (see runtime.hpp). References stay valid
-  // across unlocks: std::map nodes are stable until gc_split_op erases them.
-  SplitOp& op = splits_[{team_id, seq}];
-  if (op.expected == 0) {
-    op.expected = expected;
-  }
-  CAF2_ASSERT(op.expected == expected, "team_split rendezvous mismatch");
-  return op;
-}
-
-void Runtime::gc_split_op(int team_id, std::uint32_t seq) {
-  int& done = split_done_count_[{team_id, seq}];
-  done += 1;
-  auto it = splits_.find({team_id, seq});
-  CAF2_ASSERT(it != splits_.end(), "gc of unknown split op");
-  if (done == it->second.expected) {
-    splits_.erase(it);
-    split_done_count_.erase({team_id, seq});
-  }
-}
-
-int Runtime::allocate_team_ids(int count) {
-  const int base = next_team_id_;
-  next_team_id_ += count;
-  return base;
 }
 
 }  // namespace caf2::rt

@@ -2,19 +2,17 @@
 
 /// \file runtime.hpp
 /// The Runtime owns the simulation engine, the network, one Image per
-/// process image, the active-message handler table, and the shared services
-/// that are logically "in the interconnect" (team-split rendezvous).
+/// process image and the active-message handler table. Images share no
+/// runtime-global state: every exchange between them — team_split included
+/// — travels as a message through the network.
 ///
 /// Application code normally does not touch Runtime directly; it calls
 /// caf2::run(options, body) (core/caf2.hpp), which installs the standard
 /// handlers and executes `body` SPMD on every image.
 
-#include <array>
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "net/network.hpp"
@@ -31,23 +29,6 @@ namespace caf2::rt {
 /// message's finish scope pushed; may initiate operations, spawn, and (for
 /// shipped functions) block.
 using HandlerFn = std::function<void(Image&, net::Message&&)>;
-
-/// Rendezvous state of one team_split call (keyed by team + split sequence).
-/// All fields except `computed` are only touched under Runtime::split_mutex();
-/// `computed` is the publication flag the waiting members poll from their own
-/// threads (on a sharded engine those are different OS threads), so it is an
-/// acquire/release atomic: everything written before the release store —
-/// entries, results, team ids — is visible to a member that observes true.
-struct SplitOp {
-  int expected = 0;
-  int contributed = 0;
-  std::atomic<bool> computed{false};
-  /// (color, key) per old-team rank.
-  std::map<int, std::pair<int, int>> entries;
-  /// Result per old-team rank (null for members that passed a negative
-  /// color, which opts out of the split).
-  std::map<int, std::shared_ptr<const TeamData>> results;
-};
 
 class Runtime {
  public:
@@ -83,11 +64,9 @@ class Runtime {
   Image& image(int rank) { return *images_[static_cast<std::size_t>(rank)]; }
   int num_images() const { return static_cast<int>(images_.size()); }
 
-  /// team_world's member list (0 .. num_images-1), built once and shared by
-  /// every image's world TeamData.
-  const std::shared_ptr<const std::vector<int>>& world_members() const {
-    return world_members_;
-  }
+  /// The buffer holding team_world's member list (0 .. num_images-1), built
+  /// once and shared by every image's world TeamData.
+  const net::SharedBytes& world_members() const { return world_members_; }
 
   /// The observability recorder, or nullptr when ObsConfig::enabled is off.
   /// Instrumentation sites in runtime/, ops/, and kernels/ test this pointer
@@ -108,30 +87,15 @@ class Runtime {
   void set_handler(net::HandlerId id, HandlerFn fn);
   const HandlerFn& handler(net::HandlerId id) const;
 
-  /// --- team-split rendezvous (shared service) -------------------------------
-  ///
-  /// The split tables are shared across every image; on a sharded engine the
-  /// contributing images run on different OS threads, so all three calls
-  /// below require the caller to hold split_mutex() (Team::split does).
-
-  std::mutex& split_mutex() { return split_mutex_; }
-  SplitOp& split_op(int team_id, std::uint32_t seq, int expected);
-  void gc_split_op(int team_id, std::uint32_t seq);
-  int allocate_team_ids(int count);
-
  private:
   RuntimeOptions options_;
   std::unique_ptr<sim::Engine> engine_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<obs::Recorder> observer_;
   std::unique_ptr<obs::FlightRecorder> flight_recorder_;
-  std::shared_ptr<const std::vector<int>> world_members_;
+  net::SharedBytes world_members_;
   std::vector<std::unique_ptr<Image>> images_;
   std::map<net::HandlerId, HandlerFn> handlers_;
-  std::mutex split_mutex_;
-  std::map<std::pair<int, std::uint32_t>, SplitOp> splits_;
-  std::map<std::pair<int, std::uint32_t>, int> split_done_count_;
-  int next_team_id_ = 1;  // 0 is team_world
   bool ran_ = false;
 };
 

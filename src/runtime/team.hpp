@@ -9,13 +9,15 @@
 /// split(color, key).
 ///
 /// Team is a cheap value handle. Each member holds its own small immutable
-/// TeamData (id and its own rank); the member list inside it is one immutable
-/// vector shared by every member of the team: team_world's is built once per
-/// runtime, a split team's once at the split rendezvous.
+/// TeamData (id and its own rank); the member list inside it is a view into
+/// one immutable buffer shared by every member of the team: team_world's is
+/// built once per runtime, a split team's is the buffer the split's
+/// broadcast delivered (DESIGN.md §4.13).
 
 #include <memory>
-#include <vector>
+#include <span>
 
+#include "net/message.hpp"
 #include "support/error.hpp"
 
 namespace caf2 {
@@ -28,8 +30,10 @@ class Runtime;
 struct TeamData {
   int id = -1;
   int my_rank = -1;  ///< calling image's rank within the team
-  /// World ranks indexed by team rank; one list shared by every member.
-  std::shared_ptr<const std::vector<int>> members;
+  /// World ranks indexed by team rank: a view into `storage`.
+  std::span<const int> members;
+  /// The buffer `members` points into, shared by every member of the team.
+  net::SharedBytes storage;
 };
 
 class Team {
@@ -46,7 +50,7 @@ class Team {
   int rank() const { return require().my_rank; }
 
   /// Number of member images.
-  int size() const { return static_cast<int>(require().members->size()); }
+  int size() const { return static_cast<int>(require().members.size()); }
 
   /// World rank of the member with team rank \p team_rank.
   int world_rank(int team_rank) const;
@@ -59,11 +63,14 @@ class Team {
   bool contains_team(const Team& other) const;
 
   /// Collectively split this team. Members calling with the same \p color
-  /// form a new team; ranks within it are ordered by (key, old rank).
-  /// All members of this team must call split (SPMD).
+  /// form a new team; ranks within it are ordered by (key, old rank); a
+  /// negative color opts out and returns an invalid Team. All members of
+  /// this team must call split (SPMD). The split is a collective on this
+  /// team — a binomial gather to rank 0 and a binomial broadcast back —
+  /// defined in ops/ (team_split.cpp).
   Team split(int color, int key) const;
 
-  const std::vector<int>& members() const { return *require().members; }
+  std::span<const int> members() const { return require().members; }
 
  private:
   const TeamData& require() const {

@@ -416,7 +416,7 @@ Engine::Participant* Engine::dispatch_chain(Shard& shard) {
       return nullptr;
     }
 
-    Participant& target = *participants_[event.wake_participant];
+    Participant& target = *participants_[event.participant];
     if (target.state == PState::kFinished || target.active) {
       continue;  // stale wake
     }
@@ -502,16 +502,13 @@ void Engine::unblock(int participant) {
                "unblock(): participant id out of range");
   CAF2_REQUIRE(shards_.size() == 1 || tls_shard.engine == this,
                "unblock() outside an engine context on a multi-shard engine");
-  const int dest = shard_of(participant);
-  if (dest != current_shard()) {
-    // Cross-shard wake: stage into the owner's inbox without peeking at the
-    // target's state (that would race); stale wakes are filtered at
-    // dispatch, exactly like same-shard ones. The timestamp is clamped to
-    // the destination clock at merge time.
-    cross_post(dest, calling_shard().now_us.load(std::memory_order_relaxed),
-               participant, InlineFn());
-    return;
-  }
+  CAF2_REQUIRE(shard_of(participant) == current_shard(),
+               "unblock(): participant " + std::to_string(participant) +
+                   " lives on shard " +
+                   std::to_string(shard_of(participant)) +
+                   ", not on the calling shard " +
+                   std::to_string(current_shard()) +
+                   "; reach another shard with post_for()");
   Shard& shard = home_shard(participant);
   Participant& target = *participants_[participant];
   if (target.state == PState::kFinished || target.active) {
@@ -541,14 +538,13 @@ void Engine::post_for_call(int participant, double at, InlineFn fn) {
     CAF2_ASSERT(at >= calling_shard().now_us.load(std::memory_order_relaxed) +
                           lookahead_ - 1e-9,
                 "cross-shard event violates the conservative lookahead window");
-    cross_post(dest, at, -1, std::move(fn));
+    cross_post(dest, at, std::move(fn));
     return;
   }
   post_call(at, std::move(fn));
 }
 
-void Engine::cross_post(int dest_shard, double at,
-                        std::int32_t wake_participant, InlineFn fn) {
+void Engine::cross_post(int dest_shard, double at, InlineFn fn) {
   Shard& src = calling_shard();
   Shard& dst = *shards_[static_cast<std::size_t>(dest_shard)];
   CrossEvent ev;
@@ -557,7 +553,6 @@ void Engine::cross_post(int dest_shard, double at,
   // cross events, so the per-source counter needs no synchronization.
   ev.order = src.cross_order++;
   ev.source_shard = src.index;
-  ev.wake_participant = wake_participant;
   ev.fn = std::move(fn);
   std::lock_guard<std::mutex> guard(dst.inbox_mutex);
   dst.inbox.push_back(std::move(ev));
@@ -589,16 +584,13 @@ bool Engine::drain_inbox_locked(Shard& shard, std::string& violation) {
   const double local_now = shard.now_us.load(std::memory_order_relaxed);
   bool ok = true;
   for (auto& ev : batch) {
-    // Clamping wakes to the destination clock keeps every heap entry at or
-    // above the clock, which is what makes the global minimum — and with it
-    // the window end — monotone (DESIGN.md §4.11). Calls are provably
-    // already in the destination's future — they were sent at or above the
-    // window's global minimum and ride at least one lookahead, so they land
-    // at or past the window end the destination clock stayed below — so the
-    // clamp is a no-op for them; verify that instead of silently
-    // time-shifting a straggler, which would corrupt latency metrics
-    // undetectably.
-    if (ev.wake_participant < 0 && ev.at < local_now - 1e-9 && ok) {
+    // Every cross-shard event is a post_for() call, which lands at least one
+    // lookahead after its send. Sent at or above the window's global
+    // minimum, it is provably in the destination's future: the destination
+    // clock stayed below the window end. Verify that instead of trusting
+    // it; a straggler merged into the past would time-shift its delivery
+    // and corrupt every latency-derived metric downstream.
+    if (ev.at < local_now - 1e-9 && ok) {
       std::ostringstream os;
       os << "conservative window violation: cross-shard call from shard "
          << ev.source_shard << " at t=" << ev.at << " us merged into shard "
@@ -606,14 +598,8 @@ bool Engine::drain_inbox_locked(Shard& shard, std::string& violation) {
       violation = os.str();
       ok = false;
     }
-    const double when = std::max(ev.at, local_now);
-    if (ev.wake_participant >= 0) {
-      shard.heap.push(
-          Event{when, shard.next_seq++, ev.wake_participant, kNoSlot});
-    } else {
-      const std::uint32_t slot = acquire_slot(shard, std::move(ev.fn));
-      shard.heap.push(Event{when, shard.next_seq++, -1, slot});
-    }
+    const std::uint32_t slot = acquire_slot(shard, std::move(ev.fn));
+    shard.heap.push(Event{ev.at, shard.next_seq++, -1, slot});
   }
   return ok;
 }
@@ -706,9 +692,10 @@ bool Engine::advance_window_locked() {
     }
   }
 
-  // Static windows: every shard gets the same end. The merge clamp makes
-  // global_min non-decreasing across windows, so a window end never moves
-  // backwards once shard clocks have entered a window.
+  // Static windows: every shard gets the same end. Every merged event lies
+  // at or above its destination clock, so global_min is non-decreasing
+  // across windows and a window end never moves backwards once shard
+  // clocks have entered a window.
   ++windows_;
   const double window_end = global_min + window_span_;
   for (auto& shard : shards_) {

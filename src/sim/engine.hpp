@@ -18,14 +18,14 @@
 /// and scheduler all run on one OS thread, the engine needs no lock on its
 /// per-shard state. This is what makes paper-scale runs practical.
 ///
-/// Three event kinds live in the heap:
+/// Two event kinds live in the heap:
 ///  - Wake(p, t): hand the token to participant p at time t (created by
 ///    advance(), yield(), and unblock());
 ///  - Call(f, t): run an engine callback at time t (network staging,
 ///    delivery, timers). Callbacks run on the shard's scheduler loop
-///    and must not touch participant-local state or block;
-///  - participants that block without a scheduled wake are resumed only by a
-///    subsequent unblock() from a callback or another participant.
+///    and must not touch participant-local state or block.
+/// A participant that blocks without a scheduled wake is resumed only by a
+/// later unblock() from a callback or participant on its own shard.
 ///
 /// Dispatch stays cheap because heap events are 24-byte PODs: a Call
 /// event's closure lives in a pooled small-buffer slot (InlineFn), not in a
@@ -45,15 +45,17 @@
 /// (EngineOptions::lookahead_us): any event one shard creates on another (a
 /// message delivery or its ack) carries a timestamp at least `lookahead` in
 /// the future, so it can never land inside the window a destination shard is
-/// already executing — cross-shard events are staged into the destination's inbox
-/// and merged at the next window boundary in the deterministic order
-/// `(time, source shard, per-source counter)`, then re-sequenced into the
-/// destination heap. A one-shard engine has no peer, so its span is
-/// unbounded and the whole run is one window. When the quiet-period
+/// already executing. The only cross-shard event is a post_for() call: it is
+/// staged into the destination's inbox and merged at the next window
+/// boundary in the deterministic order `(time, source shard, per-source
+/// counter)`, then re-sequenced into the destination heap; the merge
+/// verifies the lookahead contract instead of clamping. Wakes never cross
+/// shards (unblock() is shard-local). A one-shard engine has no peer, so its
+/// span is unbounded and the whole run is one window. When the quiet-period
 /// watchdog is on, every span is capped at watchdog_quiet_us so the barrier
 /// sees every quiet gap. Any fixed shard count is deterministic across
-/// repeats; different shard counts admit different cross-shard wake clamp
-/// points and so produce different (each individually deterministic)
+/// repeats; different shard counts may order simultaneous events
+/// differently and so produce different (each individually deterministic)
 /// virtual schedules. Sharding requires a positive lookahead; configurations
 /// without one (zero wire or ack latency) run on one shard. The
 /// reliable-delivery protocol and obs span capture both run sharded
@@ -210,11 +212,11 @@ class Engine {
   /// --- calls valid on a participant or inside a Call callback -------------
 
   /// Make a blocked participant runnable at the current virtual time.
-  /// Harmless if the participant is already runnable or finished. When the
-  /// target lives on another shard the wake is staged into that shard's
-  /// inbox and merged at the next window boundary (wakes are hints — the
-  /// woken participant re-evaluates its predicate — so the window-granular
-  /// delay is semantically safe).
+  /// Harmless if the participant is already runnable or finished. Wakes are
+  /// shard-local: the target must live on the calling context's shard, and
+  /// a target on another shard is a UsageError naming it. An effect on
+  /// another shard is an event posted there with post_for(), whose callback
+  /// then wakes the target locally.
   void unblock(int participant);
 
   /// Schedule a callback at absolute virtual time \p at (>= now()).
@@ -355,8 +357,8 @@ class Engine {
   struct Event {
     double at = 0.0;
     std::uint64_t seq = 0;
-    std::int32_t wake_participant = -1;  ///< >= 0 for Wake events
-    std::uint32_t call_slot = kNoSlot;   ///< != kNoSlot for Call events
+    std::int32_t participant = -1;      ///< >= 0 for Wake events
+    std::uint32_t call_slot = kNoSlot;  ///< != kNoSlot for Call events
   };
 
   struct EventOrder {
@@ -368,15 +370,14 @@ class Engine {
     }
   };
 
-  /// An event staged by one shard for another, merged at the next window
-  /// boundary. Sorted by (at, source_shard, order) — `order` is a per-source
-  /// monotonic counter, so the merge is deterministic for a fixed shard
-  /// count — then re-sequenced into the destination heap.
+  /// A call staged by one shard for another (post_for), merged at the next
+  /// window boundary. Sorted by (at, source_shard, order) — `order` is a
+  /// per-source monotonic counter, so the merge is deterministic for a fixed
+  /// shard count — then re-sequenced into the destination heap.
   struct CrossEvent {
     double at = 0.0;
     std::uint64_t order = 0;
     std::int32_t source_shard = 0;
-    std::int32_t wake_participant = -1;  ///< >= 0: wake; else call
     InlineFn fn;
   };
 
@@ -444,10 +445,8 @@ class Engine {
 
   /// Merge a shard's inbox into its heap (deterministic order, fresh local
   /// sequence numbers). Returns false — filling \p violation — when a call
-  /// event arrived below the destination clock: a conservative-window
-  /// violation the caller must turn into an engine failure, because the
-  /// wake clamp would otherwise silently time-shift the delivery and
-  /// corrupt every latency-derived metric downstream.
+  /// arrived below the destination clock: a conservative-window violation
+  /// the caller must turn into an engine failure.
   bool drain_inbox_locked(Shard& shard, std::string& violation);
 
   /// Build the failure postmortem at the window barrier and release every
@@ -487,10 +486,9 @@ class Engine {
   void post_call(double at, InlineFn fn);
   void post_for_call(int participant, double at, InlineFn fn);
 
-  /// Stage an event into another shard's inbox. Must run on an engine
+  /// Stage a call into another shard's inbox. Must run on an engine
   /// context (the source shard identity stamps the merge order).
-  void cross_post(int dest_shard, double at, std::int32_t wake_participant,
-                  InlineFn fn);
+  void cross_post(int dest_shard, double at, InlineFn fn);
 
   std::uint32_t acquire_slot(Shard& shard, InlineFn fn);
 

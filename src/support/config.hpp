@@ -81,16 +81,10 @@ struct FaultPlan {
 };
 
 /// Reliable-delivery protocol knobs (per-link sequence numbers, receiver
-/// dedup, virtual-time retransmission with exponential backoff).
+/// dedup, virtual-time retransmission with exponential backoff). The
+/// protocol is layered in exactly when the FaultPlan is active
+/// (NetworkParams::reliable_delivery()).
 struct ReliabilityParams {
-  enum class Mode : std::uint8_t {
-    kAuto,  ///< enabled iff the FaultPlan is active
-    kOn,    ///< always layered in (costs ~2 extra events per message)
-    kOff,   ///< never (rejected at validation if the FaultPlan is active:
-            ///< injecting loss into a best-effort network just hangs)
-  };
-  Mode mode = Mode::kAuto;
-
   /// Initial retransmit timeout. Negative = derive from the network
   /// parameters (a little over twice the worst-case round trip).
   double rto_us = -1.0;
@@ -153,27 +147,18 @@ struct NetworkParams {
   /// Deterministic fault schedule (drops, duplicates, extra delays).
   FaultPlan faults{};
 
-  /// Reliable-delivery protocol configuration. With Mode::kAuto the protocol
-  /// is layered in exactly when the fault plan is active, so fault-free runs
-  /// keep the bare network's event schedule (and performance) bit-for-bit.
+  /// Reliable-delivery protocol configuration. The protocol is layered in
+  /// exactly when the fault plan is active, so fault-free runs keep the bare
+  /// network's event schedule (and performance) bit-for-bit.
   ReliabilityParams reliability{};
 
   double effective_ack_latency_us() const {
     return ack_latency_us < 0 ? latency_us : ack_latency_us;
   }
 
-  /// True when the reliable-delivery protocol is layered into the network.
-  bool reliable_delivery() const {
-    switch (reliability.mode) {
-      case ReliabilityParams::Mode::kOn:
-        return true;
-      case ReliabilityParams::Mode::kOff:
-        return false;
-      case ReliabilityParams::Mode::kAuto:
-        return faults.active();
-    }
-    return false;
-  }
+  /// True when the reliable-delivery protocol is layered into the network:
+  /// exactly when the fault plan is active.
+  bool reliable_delivery() const { return faults.active(); }
 
   /// Validate every field; throws caf2::UsageError (via CAF2_REQUIRE) on
   /// nonsense such as non-positive bandwidth, negative latency or jitter, or

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -29,6 +30,17 @@ NetworkParams wire_params() {
   params.ack_latency_us = 10.0;
   params.jitter_us = 0.0;
   return params;
+}
+
+/// An active fault plan — so the reliable-delivery protocol is layered in —
+/// that never perturbs: its one scripted fault targets a message ordinal on
+/// link 0 -> 1 that no run reaches.
+FaultPlan inert_fault_plan() {
+  FaultPlan plan;
+  plan.scripted.push_back({.source = 0,
+                           .dest = 1,
+                           .nth = std::numeric_limits<std::uint64_t>::max()});
+  return plan;
 }
 
 /// --- NetworkParams validation ------------------------------------------------
@@ -66,16 +78,8 @@ TEST(FaultConfig, InvalidParamsRejectedAtConstruction) {
     EXPECT_THROW(Network(engine, p, 1), UsageError);
   }
   {
-    // An active fault plan without the reliable protocol would simply lose
-    // messages: rejected.
     NetworkParams p = wire_params();
-    p.faults.all.drop_probability = 0.1;
-    p.reliability.mode = ReliabilityParams::Mode::kOff;
-    EXPECT_THROW(Network(engine, p, 1), UsageError);
-  }
-  {
-    NetworkParams p = wire_params();
-    p.reliability.mode = ReliabilityParams::Mode::kOn;
+    p.faults = inert_fault_plan();
     p.reliability.max_attempts = 0;
     EXPECT_THROW(Network(engine, p, 1), UsageError);
   }
@@ -136,10 +140,7 @@ TEST(FaultConfig, UnreachableFaultEndpointsRejectedNamingTheField) {
 
 TEST(FaultConfig, ReliabilityModeResolution) {
   NetworkParams p = wire_params();
-  EXPECT_FALSE(p.reliable_delivery());  // kAuto + inactive plan
-  p.reliability.mode = ReliabilityParams::Mode::kOn;
-  EXPECT_TRUE(p.reliable_delivery());
-  p.reliability.mode = ReliabilityParams::Mode::kAuto;
+  EXPECT_FALSE(p.reliable_delivery());  // inactive plan
   p.faults.all.drop_probability = 0.05;
   EXPECT_TRUE(p.reliable_delivery());
 }
@@ -710,8 +711,8 @@ TEST(FaultyRun, ShardedLossyRunsAreDeterministicAcrossRepeats) {
 }
 
 TEST(FaultyRun, FaultFreeReliableRunMatchesResultsOfBareNetwork) {
-  // Mode::kOn without faults must still compute identical virtual-time
-  // results (the protocol adds events but not semantics).
+  // The protocol under a plan that never perturbs must still compute
+  // identical virtual-time results (it adds events but not semantics).
   auto body = [] {
     Team world = team_world();
     Coarray<long> counter(world, 1);
@@ -727,7 +728,7 @@ TEST(FaultyRun, FaultFreeReliableRunMatchesResultsOfBareNetwork) {
   };
   RuntimeOptions bare = faulty_options(4, 0.0);
   RuntimeOptions reliable = faulty_options(4, 0.0);
-  reliable.net.reliability.mode = ReliabilityParams::Mode::kOn;
+  reliable.net.faults = inert_fault_plan();
   const RunStats bare_stats = run_stats(bare, body);
   const RunStats reliable_stats = run_stats(reliable, body);
   EXPECT_EQ(bare_stats.faults.retransmits, 0u);

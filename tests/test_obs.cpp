@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -207,7 +208,9 @@ TEST(Obs, RepeatedRunsRecordByteIdenticalCaptures) {
 
 /// --- fault attribution -------------------------------------------------------
 
-/// Wire parameters with a deterministic (jitter-free) reliable protocol.
+/// Wire parameters with a deterministic (jitter-free) reliable protocol. The
+/// protocol is layered in by an active fault plan whose one scripted fault
+/// targets a message ordinal on link 0 -> 1 that no run reaches.
 NetworkParams reliable_wire() {
   NetworkParams params;
   params.latency_us = 10.0;
@@ -215,7 +218,10 @@ NetworkParams reliable_wire() {
   params.handler_cost_us = 0.0;
   params.ack_latency_us = 10.0;
   params.jitter_us = 0.0;
-  params.reliability.mode = ReliabilityParams::Mode::kOn;
+  params.faults.scripted.push_back(
+      {.source = 0,
+       .dest = 1,
+       .nth = std::numeric_limits<std::uint64_t>::max()});
   return params;
 }
 

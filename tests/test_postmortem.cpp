@@ -213,6 +213,37 @@ TEST(Postmortem, SplitTeamFinishCycleNamesTheFinishResource) {
       << obs::to_text(pm);
 }
 
+TEST(Postmortem, FinishSatisfiersOfATeamWithoutImageZeroAreItsMembers) {
+  // Images 2 and 3 split off a team that image 0 is not in (0 and 1 opt out
+  // and return). Image 2 blocks on an event before a finish scope on the
+  // team while image 3 waits in that scope's termination detection. The
+  // team is resolved on a member, so the satisfiers are members only.
+  RuntimeOptions options = base_options(4);
+  const obs::StallError error = expect_stall(options, [] {
+    Team world = team_world();
+    Team pair = world.split(world.rank() >= 2 ? 0 : -1, world.rank());
+    if (world.rank() < 2) {
+      return;
+    }
+    if (pair.rank() == 0) {
+      Event never;
+      never.wait();
+    }
+    finish(pair, [] {});
+  });
+  ASSERT_NE(error.postmortem(), nullptr);
+  const obs::Postmortem& pm = *error.postmortem();
+  const obs::WaitGraph::Satisfiers* finish_sat = nullptr;
+  for (const obs::WaitGraph::Satisfiers& sat : pm.graph.resources) {
+    if (sat.resource.kind == obs::ResourceKind::kFinish) {
+      ASSERT_EQ(finish_sat, nullptr) << obs::to_text(pm);
+      finish_sat = &sat;
+    }
+  }
+  ASSERT_NE(finish_sat, nullptr) << obs::to_text(pm);
+  EXPECT_EQ(finish_sat->images, (std::vector<int>{2})) << obs::to_text(pm);
+}
+
 /// --- stalls that are NOT deadlocks -------------------------------------------
 
 TEST(Postmortem, SlowNetworkQuietPeriodIsAStallNotACycle) {

@@ -227,6 +227,28 @@ TEST(Events, NotifyHasReleaseSemanticsOverImplicitOps) {
   });
 }
 
+TEST(Events, NotifyOfAnotherImagesEventIsAUsageError) {
+  // Only the owner notifies an Event directly; another image goes through
+  // notify_event(handle()), a message. Same rule on every shard count.
+  for (const int shards : {1, 2}) {
+    RuntimeOptions options = options_with(2);
+    options.shards = shards;
+    std::vector<Event*> events(2, nullptr);
+    EXPECT_THROW(run(options,
+                     [&events] {
+                       Event mine;
+                       events[static_cast<std::size_t>(this_image())] = &mine;
+                       team_barrier(team_world());
+                       if (this_image() == 0) {
+                         events[1]->notify();
+                       }
+                       team_barrier(team_world());
+                     }),
+                 UsageError)
+        << "shards=" << shards;
+  }
+}
+
 TEST(Events, WhenPostedTriggerConsumesNotification) {
   run(options_with(1), [] {
     Event event;

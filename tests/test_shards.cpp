@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/caf2.hpp"
@@ -40,16 +41,25 @@ RuntimeOptions shard_options(int images, int shards, std::uint64_t seed) {
 }
 
 constexpr int kMixedRounds = 5;
+/// Slots after the rounds: the world allreduce, the nested team's copy and
+/// the half team's allreduce.
+constexpr int kWorldSumSlot = kMixedRounds;
+constexpr int kPartnerSlot = kMixedRounds + 1;
+constexpr int kHalfSumSlot = kMixedRounds + 2;
+constexpr int kMixedSlots = kMixedRounds + 3;
 
 /// Mixed workload with plenty of cross-image (and, when sharded,
 /// cross-shard) traffic: asynchronous copies under a finish, a cofence per
 /// round, an allreduce, and barriers. Round r writes the sender's rank into
-/// slot r of its r-th successor; the last slot holds the allreduce. Returns
-/// the calling image's slots.
+/// slot r of its r-th successor; the slots after the rounds hold the world
+/// allreduce and the results of split teams: the world splits into halves
+/// by parity and each half again into quarters, every quarter member copies
+/// its rank to its quarter successor under a finish on the quarter, and each
+/// half sums its ranks. Returns the calling image's slots.
 std::vector<long> mixed_workload_slots() {
   Team world = team_world();
-  Coarray<long> slots(world, kMixedRounds + 1);
-  for (int i = 0; i <= kMixedRounds; ++i) {
+  Coarray<long> slots(world, kMixedSlots);
+  for (int i = 0; i < kMixedSlots; ++i) {
     slots[i] = -1;
   }
   team_barrier(world);
@@ -62,10 +72,19 @@ std::vector<long> mixed_workload_slots() {
       cofence();
     }
   });
-  slots[kMixedRounds] = allreduce<long>(world, world.rank(), RedOp::kSum);
+  slots[kWorldSumSlot] = allreduce<long>(world, world.rank(), RedOp::kSum);
+  Team half = world.split(world.rank() % 2, world.rank());
+  Team quarter = half.split(half.rank() % 2, half.rank());
+  finish(quarter, [&] {
+    const int successor = (quarter.rank() + 1) % quarter.size();
+    copy_async(slots(quarter.world_rank(successor)).subslice(kPartnerSlot, 1),
+               std::span<const long>(payload));
+    cofence();
+  });
+  slots[kHalfSumSlot] = allreduce<long>(half, world.rank(), RedOp::kSum);
   team_barrier(world);
   std::vector<long> out;
-  for (int i = 0; i <= kMixedRounds; ++i) {
+  for (int i = 0; i < kMixedSlots; ++i) {
     out.push_back(slots[i]);
   }
   return out;
@@ -172,15 +191,94 @@ TEST(Shards, MixedWorkloadContentsMatchAcrossShardCounts) {
   };
   const std::vector<std::vector<long>> one = contents_at(1);
   for (int rank = 0; rank < images; ++rank) {
-    ASSERT_EQ(one[rank].size(), static_cast<std::size_t>(kMixedRounds + 1));
+    ASSERT_EQ(one[rank].size(), static_cast<std::size_t>(kMixedSlots));
     for (int round = 0; round < kMixedRounds; ++round) {
       EXPECT_EQ(one[rank][round], (rank - round + images) % images)
           << "image " << rank << " round " << round;
     }
-    EXPECT_EQ(one[rank][kMixedRounds], images * (images - 1) / 2);
+    EXPECT_EQ(one[rank][kWorldSumSlot], images * (images - 1) / 2);
+    // Eight images: the quarters are {r, r + 4}, so each member's quarter
+    // successor is its partner, and the half of parity p sums to 4p + 12.
+    EXPECT_EQ(one[rank][kPartnerSlot], (rank + 4) % images) << "image " << rank;
+    EXPECT_EQ(one[rank][kHalfSumSlot], 4 * (rank % 2) + 12) << "image " << rank;
   }
   EXPECT_EQ(contents_at(2), one);
   EXPECT_EQ(contents_at(4), one);
+}
+
+/// --- team splits: repeat-identical on every shard count ---------------------
+
+constexpr int kNestedRounds = 4;
+
+/// What one image saw of split_probe: the virtual time each split returned
+/// at and the id of the team it returned, split by split.
+struct SplitTrail {
+  std::vector<double> exit_us;
+  std::vector<int> ids;
+  bool operator==(const SplitTrail&) const = default;
+};
+
+/// A world split into halves, then kNestedRounds rounds of concurrent nested
+/// splits of each half. Each round first puts to the world successor
+/// without waiting, so the put's ack lands while the image waits inside
+/// the split.
+SplitTrail split_probe() {
+  Team world = team_world();
+  Coarray<long> box(world, kNestedRounds);
+  team_barrier(world);
+  SplitTrail trail;
+  const auto record = [&trail](const Team& team) {
+    trail.exit_us.push_back(now_us());
+    trail.ids.push_back(team.id());
+  };
+  Team half = world.split(world.rank() % 2, world.rank());
+  record(half);
+  const std::vector<long> payload{world.rank()};
+  finish(world, [&] {
+    for (int round = 0; round < kNestedRounds; ++round) {
+      copy_async(box((world.rank() + 1) % world.size()).subslice(round, 1),
+                 std::span<const long>(payload));
+      record(half.split((half.rank() + round) % 2,
+                        half.size() - half.rank()));
+      cofence();
+    }
+  });
+  return trail;
+}
+
+TEST(Shards, ConcurrentSplitsAreRepeatIdentical) {
+  constexpr int kImages = 16;
+  constexpr int kRepeats = 8;
+  for (const int shards : {2, 4}) {
+    const auto once = [shards] {
+      RuntimeOptions options = shard_options(kImages, shards, 31);
+      options.record_trace = false;
+      std::vector<SplitTrail> trails(kImages);
+      const RunStats stats = run_stats(options, [&trails] {
+        trails[static_cast<std::size_t>(this_image())] = split_probe();
+      });
+      return std::make_pair(stats, trails);
+    };
+    const auto [first, first_trails] = once();
+    ASSERT_EQ(first.shards, shards);
+    ASSERT_EQ(first_trails[0].ids.size(),
+              static_cast<std::size_t>(kNestedRounds + 1));
+    for (int repeat = 1; repeat < kRepeats; ++repeat) {
+      const auto [stats, trails] = once();
+      EXPECT_EQ(stats.events, first.events)
+          << "shards=" << shards << " repeat " << repeat;
+      EXPECT_EQ(stats.context_switches, first.context_switches)
+          << "shards=" << shards << " repeat " << repeat;
+      EXPECT_EQ(stats.virtual_us, first.virtual_us)
+          << "shards=" << shards << " repeat " << repeat;
+      for (int image = 0; image < kImages; ++image) {
+        const auto index = static_cast<std::size_t>(image);
+        EXPECT_EQ(trails[index], first_trails[index])
+            << "shards=" << shards << " repeat " << repeat << " image "
+            << image;
+      }
+    }
+  }
 }
 
 /// --- cross-shard constructs at paper scale ----------------------------------

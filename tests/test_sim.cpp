@@ -230,6 +230,31 @@ TEST(Engine, OutsideContextCallsRejectedOnMultiShardEngine) {
   engine.run([](int) {});
 }
 
+TEST(Engine, CrossShardUnblockIsAUsageError) {
+  // Wakes are shard-local: participant 0 (shard 0) may not unblock
+  // participant 1 (shard 1). An effect on another shard is a post_for()
+  // event, whose callback wakes the target on its own shard.
+  EngineOptions options;
+  options.shards = 2;
+  options.lookahead_us = 1.0;
+  Engine engine(2, options);
+  ASSERT_EQ(engine.shard_count(), 2);
+  ASSERT_EQ(engine.shard_of(1), 1);
+  std::string message;
+  try {
+    engine.run([](int id) {
+      if (id == 0) {
+        this_engine().unblock(1);
+      } else {
+        this_engine().advance(5.0);
+      }
+    });
+  } catch (const caf2::UsageError& error) {
+    message = error.what();
+  }
+  EXPECT_NE(message.find("participant 1"), std::string::npos) << message;
+}
+
 TEST(Engine, CurrentContextHelpers) {
   EXPECT_FALSE(on_participant_thread());
   Engine engine(2);
