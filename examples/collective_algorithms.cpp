@@ -15,8 +15,8 @@
 /// table.
 ///
 /// Build & run:   ./build/examples/collective_algorithms
-///                CAF2_COLL_TABLE=BENCH_coll_selection.json \
-///                    ./build/examples/collective_algorithms
+/// With a table:  CAF2_COLL_TABLE=BENCH_coll_selection.json
+///                ./build/examples/collective_algorithms   (one command)
 
 #include <cstdio>
 #include <cstdlib>

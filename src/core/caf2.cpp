@@ -40,7 +40,6 @@ RunStats run_stats(const RuntimeOptions& options,
   stats.shard_events = runtime.engine().shard_event_counts();
   stats.lookahead_mode = stats.shards == 1 ? "serial" : "static";
   stats.faults = runtime.network().fault_stats();
-  stats.shard_faults = runtime.network().shard_fault_stats();
   stats.obs = runtime.take_capture();
   return stats;
 }

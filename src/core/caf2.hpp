@@ -54,7 +54,9 @@ void run(const RuntimeOptions& options, const std::function<void()>& body);
 /// simulation, as opposed to the virtual-time results the run computed).
 ///
 /// events, virtual_us, context_switches, and faults are deterministic: for a
-/// given options + body they are bit-identical across repeats.
+/// given options + body they are bit-identical across repeats. events,
+/// virtual_us and faults do not depend on the shard count either (DESIGN.md
+/// §4.12); context_switches and the sharded-execution fields below do.
 /// peak_rss_bytes is a *measured* property of the host process (monotone
 /// high-water mark, not deterministic) — determinism comparisons must
 /// exclude it.
@@ -80,11 +82,6 @@ struct RunStats {
   /// minimum plus the lookahead).
   std::string lookahead_mode = "serial";
   FaultStats faults{};       ///< injected-fault / retransmission counters
-  /// Per-shard fault/protocol counters (one entry per shard; summed they
-  /// equal `faults`). Deliveries dropped/duplicated/delayed, ack losses, and
-  /// retransmits are charged to the flight's source shard,
-  /// duplicates_suppressed to its destination shard.
-  std::vector<FaultStats> shard_faults;
   /// Observability capture (spans + metrics); non-null only when
   /// RuntimeOptions::obs.enabled was set. Feed to obs::to_chrome_trace(),
   /// obs::to_text(), or obs::analyze_blame().

@@ -35,29 +35,23 @@ Network::Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed)
     require_image(params_.faults.links[i].dest, "links", i, "dest");
   }
   reliable_ = params_.reliable_delivery();
-  faults_active_ = params_.faults.active();
-  // One jitter and one fault stream per shard. The fault stream is
-  // independent of the jitter stream so that enabling a FaultPlan leaves a
-  // run's jitter draws untouched. A lone shard draws jitter from the seed
-  // itself and faults from child(1); with n > 1 shards the jitter streams
-  // are children 2..n+1 and the fault streams children n+2..2n+1.
+  // One jitter and one fault stream per source image, each allocated only
+  // when something draws from it. The fault streams are independent of the
+  // jitter streams, so enabling a FaultPlan leaves a run's jitter draws
+  // untouched.
   const SplitMix64 seeder(seed);
-  const auto shard_count = static_cast<std::uint64_t>(engine.shard_count());
-  shard_jitter_.reserve(shard_count);
-  shard_fault_.reserve(shard_count);
-  for (std::uint64_t shard = 0; shard < shard_count; ++shard) {
-    shard_jitter_.emplace_back(shard_count == 1 ? seed
-                                                : seeder.child(shard + 2));
-    shard_fault_.emplace_back(
-        seeder.child(shard_count == 1 ? 1 : shard_count + shard + 2));
+  const auto images = static_cast<std::uint64_t>(engine.size());
+  if (params_.jitter_us > 0.0) {
+    jitter_.reserve(images);
+    for (std::uint64_t image = 0; image < images; ++image) {
+      jitter_.emplace_back(seeder.child(1 + image));
+    }
   }
-  // One protocol cell per shard; flight ids carry the owning cell in their
-  // top 16 bits, so a shard count past 2^16 would make rel_shard_of() route
-  // acks and retransmit timers to the wrong cell.
-  CAF2_REQUIRE(engine.shard_count() <= (1 << 16),
-               "Network: shard count exceeds the flight-id shard field");
-  rel_shards_.resize(static_cast<std::size_t>(engine.shard_count()));
   if (reliable_) {
+    fault_.reserve(images);
+    for (std::uint64_t image = 0; image < images; ++image) {
+      fault_.emplace_back(seeder.child(1 + images + image));
+    }
     send_links_.resize(static_cast<std::size_t>(engine.size()));
     recv_links_.resize(static_cast<std::size_t>(engine.size()));
     max_extra_delay_us_ = params_.faults.all.delay_max_us;
@@ -91,46 +85,46 @@ void Network::reset_traffic() {
   }
 }
 
-Xoshiro256ss& Network::jitter_rng() {
-  return shard_jitter_[static_cast<std::size_t>(engine_.current_shard())];
-}
-
-Xoshiro256ss& Network::fault_rng() {
-  return shard_fault_[static_cast<std::size_t>(engine_.current_shard())];
+Xoshiro256ss& Network::source_stream(std::vector<Xoshiro256ss>& streams,
+                                     int source) {
+  CAF2_ASSERT(engine_.shard_of(source) == engine_.current_shard(),
+              "Network: image " + std::to_string(source) +
+                  "'s stream drawn on shard " +
+                  std::to_string(engine_.current_shard()) + ", not its own");
+  return streams[static_cast<std::size_t>(source)];
 }
 
 FaultStats Network::fault_stats() const {
   FaultStats total;
-  for (const ReliableShard& cell : rel_shards_) {
-    total.deliveries_dropped += cell.stats.deliveries_dropped;
-    total.deliveries_duplicated += cell.stats.deliveries_duplicated;
-    total.deliveries_delayed += cell.stats.deliveries_delayed;
-    total.acks_dropped += cell.stats.acks_dropped;
-    total.retransmits += cell.stats.retransmits;
-    total.duplicates_suppressed += cell.stats.duplicates_suppressed;
-    total.scripted_applied += cell.stats.scripted_applied;
+  for (const auto& links : send_links_) {
+    for (const auto& [dest, link] : links) {
+      total.deliveries_dropped += link.faults.deliveries_dropped;
+      total.deliveries_duplicated += link.faults.deliveries_duplicated;
+      total.deliveries_delayed += link.faults.deliveries_delayed;
+      total.acks_dropped += link.faults.acks_dropped;
+      total.retransmits += link.faults.retransmits;
+      total.scripted_applied += link.faults.scripted_applied;
+    }
+  }
+  for (const auto& links : recv_links_) {
+    for (const auto& [source, link] : links) {
+      total.duplicates_suppressed += link.duplicates_suppressed;
+    }
   }
   return total;
-}
-
-std::vector<FaultStats> Network::shard_fault_stats() const {
-  std::vector<FaultStats> per_shard;
-  per_shard.reserve(rel_shards_.size());
-  for (const ReliableShard& cell : rel_shards_) {
-    per_shard.push_back(cell.stats);
-  }
-  return per_shard;
 }
 
 std::size_t Network::inflight_reliable() const {
   std::size_t total = 0;
-  for (const ReliableShard& cell : rel_shards_) {
-    total += cell.inflight.size();
+  for (const auto& links : send_links_) {
+    for (const auto& [dest, link] : links) {
+      total += link.inflight.size();
+    }
   }
   return total;
 }
 
-Network::Timing Network::plan(double now, std::size_t bytes) {
+Network::Timing Network::plan(int source, double now, std::size_t bytes) {
   Timing timing{};
   // bandwidth is validated > 0 (infinity => instantaneous staging).
   const double inject =
@@ -138,7 +132,7 @@ Network::Timing Network::plan(double now, std::size_t bytes) {
   timing.stage_at = now + inject;
   double jitter = 0.0;
   if (params_.jitter_us > 0.0) {
-    jitter = jitter_rng().next_double() * params_.jitter_us;
+    jitter = source_stream(jitter_, source).next_double() * params_.jitter_us;
   }
   timing.deliver_at = timing.stage_at + params_.latency_us + jitter;
   timing.ack_at = timing.deliver_at + params_.effective_ack_latency_us();
@@ -236,7 +230,8 @@ void Network::send(Message message, SendCallbacks callbacks) {
   }
   Flight flight;
   flight.init_us = engine_.now();
-  flight.timing = plan(flight.init_us, message.size_bytes());
+  flight.timing =
+      plan(message.header.source, flight.init_us, message.size_bytes());
   flight.message = std::move(message);
   flight.callbacks = std::move(callbacks);
   account_send(flight.message);
@@ -272,7 +267,7 @@ void Network::send_staged(MessageHeader header, std::size_t size_hint,
     return;
   }
   const double init_us = engine_.now();
-  const Timing timing = plan(init_us, size_hint);
+  const Timing timing = plan(header.source, init_us, size_hint);
   // At staging time the network reads the source buffer; only then does the
   // message exist as an independent payload. Overwriting the source buffer
   // before local data completion corrupts the transfer, as on real RDMA
@@ -335,20 +330,14 @@ double Network::auto_rto(double inject_us) const {
   return 2.0 * round_trip + max_extra_delay_us_ + 1.0;
 }
 
-std::uint64_t Network::admit_flight(Message message, SendCallbacks callbacks,
-                                    double inject_us) {
+Network::FlightKey Network::admit_flight(Message message,
+                                         SendCallbacks callbacks,
+                                         double inject_us) {
   account_send(message);
-  SenderLink& sender =
-      sender_link(message.header.source, message.header.dest);
-  ReliableShard& cell = rel_shard();
-  CAF2_ASSERT(cell.next_flight_id < (std::uint64_t{1} << 48),
-              "admit_flight: per-shard flight-id counter overflow");
-  const std::uint64_t id =
-      (static_cast<std::uint64_t>(engine_.current_shard()) << 48) |
-      cell.next_flight_id++;
+  FlightKey key{message.header.source, message.header.dest, 0};
+  SenderLink& link = sender_link(key.source, key.dest);
+  key.seq = link.next_seq++;
   ReliableFlight flight;
-  flight.seq = sender.next_seq++;
-  flight.ordinal = ++sender.initiated;
   flight.inject_us = inject_us;
   flight.first_sent_us = engine_.now();
   flight.rto_us = params_.reliability.rto_us > 0.0
@@ -356,23 +345,21 @@ std::uint64_t Network::admit_flight(Message message, SendCallbacks callbacks,
                       : auto_rto(inject_us);
   flight.callbacks = std::move(callbacks);
   flight.message = std::make_shared<const Message>(std::move(message));
-  cell.inflight.emplace(id, std::move(flight));
-  return id;
+  link.inflight.emplace(key.seq, std::move(flight));
+  return key;
 }
 
-Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
+Network::AttemptFaults Network::roll_faults(const FlightKey& key,
+                                            const ReliableFlight& flight,
+                                            FaultStats& stats) {
   AttemptFaults faults;
   if (params_.jitter_us > 0.0) {
-    faults.jitter_us = jitter_rng().next_double() * params_.jitter_us;
+    faults.jitter_us = source_stream(jitter_, key.source).next_double() *
+                       params_.jitter_us;
   }
-  if (!faults_active_) {
-    return faults;
-  }
-  const MessageHeader& header = flight.message->header;
   // A fixed number of fault-stream draws per attempt keeps the stream
-  // aligned no matter which faults actually fire. The draws come from the
-  // calling (source) shard's stream.
-  Xoshiro256ss& rng = fault_rng();
+  // aligned no matter which faults actually fire.
+  Xoshiro256ss& rng = source_stream(fault_, key.source);
   const double u_drop = rng.next_double();
   const double u_dup = rng.next_double();
   const double u_ack = rng.next_double();
@@ -381,8 +368,7 @@ Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
   const double u_delay_amount = rng.next_double();
   const double u_dup_offset = rng.next_double();
 
-  const LinkFaults& lf =
-      params_.faults.resolve(header.source, header.dest);
+  const LinkFaults& lf = params_.faults.resolve(key.source, key.dest);
   faults.drop = u_drop < lf.drop_probability;
   faults.duplicate = u_dup < lf.dup_probability;
   faults.ack_drop = u_ack < lf.ack_drop_probability;
@@ -393,12 +379,12 @@ Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
   faults.dup_offset_us = u_dup_offset * params_.jitter_us;
 
   for (const ScriptedFault& scripted : params_.faults.scripted) {
-    if (scripted.source != header.source || scripted.dest != header.dest ||
-        scripted.nth != flight.ordinal ||
+    if (scripted.source != key.source || scripted.dest != key.dest ||
+        scripted.nth != key.seq + 1 ||
         (scripted.attempt != 0 && scripted.attempt != flight.attempts)) {
       continue;
     }
-    rel_shard().stats.scripted_applied += 1;
+    stats.scripted_applied += 1;
     switch (scripted.kind) {
       case FaultKind::kDrop:
         faults.drop = true;
@@ -414,14 +400,14 @@ Network::AttemptFaults Network::roll_faults(const ReliableFlight& flight) {
   return faults;
 }
 
-void Network::start_attempt(std::uint64_t id) {
-  ReliableShard& cell = rel_shard_of(id);
-  auto it = cell.inflight.find(id);
-  CAF2_ASSERT(it != cell.inflight.end(), "start_attempt: unknown flight");
+void Network::start_attempt(const FlightKey& key) {
+  SenderLink& link = sender_link(key.source, key.dest);
+  auto it = link.inflight.find(key.seq);
+  CAF2_ASSERT(it != link.inflight.end(), "start_attempt: unknown flight");
   ReliableFlight& flight = it->second;
   flight.attempts += 1;
 
-  const AttemptFaults faults = roll_faults(flight);
+  const AttemptFaults faults = roll_faults(key, flight, link.faults);
   const auto charge = [&](bool fired, std::uint64_t& counter,
                           obs::FrKind kind) {
     if (!fired) {
@@ -429,15 +415,15 @@ void Network::start_attempt(std::uint64_t id) {
     }
     counter += 1;
     if (flight_recorder_ != nullptr) {
-      flight_recorder_->record(flight.message->header.source, engine_.now(),
-                               kind, flight.message->header.dest, flight.seq,
+      flight_recorder_->record(key.source, engine_.now(), kind, key.dest,
+                               key.seq,
                                static_cast<std::uint64_t>(flight.attempts));
     }
   };
-  charge(faults.drop, cell.stats.deliveries_dropped, obs::FrKind::kFaultDrop);
-  charge(faults.duplicate, cell.stats.deliveries_duplicated,
+  charge(faults.drop, link.faults.deliveries_dropped, obs::FrKind::kFaultDrop);
+  charge(faults.duplicate, link.faults.deliveries_duplicated,
          obs::FrKind::kFaultDuplicate);
-  charge(faults.extra_delay_us > 0.0, cell.stats.deliveries_delayed,
+  charge(faults.extra_delay_us > 0.0, link.faults.deliveries_delayed,
          obs::FrKind::kFaultDelay);
 
   // The first attempt is launched at staging time (injection already
@@ -454,101 +440,94 @@ void Network::start_attempt(std::uint64_t id) {
   const double deliver_at = base + params_.latency_us + faults.jitter_us +
                             faults.extra_delay_us;
   if (!faults.drop) {
-    post_attempt(id, flight, deliver_at, faults.ack_drop);
+    post_attempt(key, flight, deliver_at, faults.ack_drop);
   }
   if (faults.duplicate) {
-    post_attempt(id, flight, deliver_at + faults.dup_offset_us,
+    post_attempt(key, flight, deliver_at + faults.dup_offset_us,
                  faults.dup_ack_drop);
   }
   engine_.post(engine_.now() + flight.rto_us,
-               [this, id, attempt = flight.attempts] {
-                 on_retransmit_timer(id, attempt);
+               [this, key, attempt = flight.attempts] {
+                 on_retransmit_timer(key, attempt);
                });
 }
 
-void Network::post_attempt(std::uint64_t id, const ReliableFlight& flight,
+void Network::post_attempt(const FlightKey& key, const ReliableFlight& flight,
                            double at, bool ack_dropped) {
-  const MessageHeader& header = flight.message->header;
   if (ack_dropped) {
     // Charged at roll time on the sender: the receiver never touches the
-    // source cell, and every launched physical delivery lands. The entry is
+    // sender half, and every launched physical delivery lands. The entry is
     // stamped with the delivery time, when the ack would have left; ring
     // records never schedule events (flight_recorder.hpp), so a future stamp
     // is harmless.
-    rel_shard_of(id).stats.acks_dropped += 1;
+    sender_link(key.source, key.dest).faults.acks_dropped += 1;
     if (flight_recorder_ != nullptr) {
-      flight_recorder_->record(header.source, at, obs::FrKind::kFaultAckLoss,
-                               header.dest, flight.seq, 0);
+      flight_recorder_->record(key.source, at, obs::FrKind::kFaultAckLoss,
+                               key.dest, key.seq, 0);
     }
   }
-  engine_.post_for(header.dest, at,
-                   [this, message = flight.message, id, seq = flight.seq,
+  engine_.post_for(key.dest, at,
+                   [this, message = flight.message, key,
                     first_sent = flight.first_sent_us,
                     expected = flight.expected_deliver_us, ack_dropped] {
-                     deliver_attempt(message, id, seq, first_sent, expected,
+                     deliver_attempt(message, key, first_sent, expected,
                                      ack_dropped);
                    });
 }
 
 void Network::deliver_attempt(const std::shared_ptr<const Message>& message,
-                              std::uint64_t id, std::uint64_t seq,
-                              double first_sent_us, double expected_deliver_us,
-                              bool ack_dropped) {
-  const MessageHeader& header = message->header;
+                              const FlightKey& key, double first_sent_us,
+                              double expected_deliver_us, bool ack_dropped) {
   std::uint64_t span = 0;
-  if (receiver_link(header.source, header.dest).accept(seq)) {
+  ReceiverLink& link = receiver_link(key.source, key.dest);
+  if (link.accept(key.seq)) {
     span = land(*message, first_sent_us, expected_deliver_us);
   } else {
-    // Dedup hits are charged to the receiving shard's cell.
-    rel_shard().stats.duplicates_suppressed += 1;
+    link.duplicates_suppressed += 1;
   }
   // Duplicates and retransmits are re-acknowledged: that is what recovers
   // from a lost ack without redelivering the message.
   if (ack_dropped) {
     return;
   }
-  const int source = header.source;
-  engine_.post_for(source,
+  engine_.post_for(key.source,
                    engine_.now() + params_.effective_ack_latency_us(),
-                   [this, id, span] { handle_ack(id, span); });
+                   [this, key, span] { handle_ack(key, span); });
 }
 
-void Network::handle_ack(std::uint64_t id, std::uint64_t span) {
-  ReliableShard& cell = rel_shard_of(id);
-  auto it = cell.inflight.find(id);
-  if (it == cell.inflight.end()) {
+void Network::handle_ack(const FlightKey& key, std::uint64_t span) {
+  SenderLink& link = sender_link(key.source, key.dest);
+  auto it = link.inflight.find(key.seq);
+  if (it == link.inflight.end()) {
     return;  // duplicate or late ack of a completed flight
   }
+  const ReliableFlight& flight = it->second;
   if (flight_recorder_ != nullptr) {
-    const MessageHeader& header = it->second.message->header;
-    flight_recorder_->record(header.source, engine_.now(), obs::FrKind::kAck,
-                             header.dest, it->second.seq,
-                             static_cast<std::uint64_t>(it->second.attempts));
+    flight_recorder_->record(key.source, engine_.now(), obs::FrKind::kAck,
+                             key.dest, key.seq,
+                             static_cast<std::uint64_t>(flight.attempts));
   }
   if (observer_ != nullptr) {
-    const ReliableFlight& flight = it->second;
-    const MessageHeader& header = flight.message->header;
     const double now = engine_.now();
     if (span != 0) {
-      observer_->note_cause(header.source, span);
+      observer_->note_cause(key.source, span);
     }
     if (now > flight.expected_ack_us + 1e-9) {
-      observer_->retransmit_span(header.source, header.dest,
-                                 flight.expected_ack_us, now,
-                                 engine_.current_shard());
+      observer_->retransmit_span(key.source, key.dest, flight.expected_ack_us,
+                                 now, engine_.current_shard());
     }
   }
   SendCallbacks callbacks = std::move(it->second.callbacks);
-  cell.inflight.erase(it);
+  link.inflight.erase(it);
   if (callbacks.on_acked) {
     callbacks.on_acked();
   }
 }
 
-void Network::on_retransmit_timer(std::uint64_t id, int attempt) {
-  ReliableShard& cell = rel_shard_of(id);
-  auto it = cell.inflight.find(id);
-  if (it == cell.inflight.end()) {
+void Network::on_retransmit_timer(const FlightKey& key, int attempt) {
+  SenderLink& link = sender_link(key.source, key.dest);
+  auto it = link.inflight.find(key.seq);
+  if (it == link.inflight.end()) {
     return;  // acknowledged; the timer is stale
   }
   ReliableFlight& flight = it->second;
@@ -556,11 +535,10 @@ void Network::on_retransmit_timer(std::uint64_t id, int attempt) {
     return;  // a newer attempt rearmed its own timer
   }
   if (flight.attempts >= params_.reliability.max_attempts) {
-    const MessageHeader& header = flight.message->header;
     std::ostringstream os;
-    os << "reliable delivery failed: message " << header.source << "->"
-       << header.dest << " (link seq " << flight.seq << ", ordinal "
-       << flight.ordinal << ", handler " << header.handler << ", "
+    os << "reliable delivery failed: message " << key.source << "->"
+       << key.dest << " (link seq " << key.seq << ", ordinal " << key.seq + 1
+       << ", handler " << flight.message->header.handler << ", "
        << flight.message->size_bytes() << " B) undelivered after "
        << flight.attempts << " attempts over "
        << engine_.now() - flight.first_sent_us << " us (retry cap "
@@ -568,19 +546,17 @@ void Network::on_retransmit_timer(std::uint64_t id, int attempt) {
     engine_.fail(os.str(), obs::FailKind::kRetryCap);
     return;
   }
-  cell.stats.retransmits += 1;
+  link.faults.retransmits += 1;
   if (observer_ != nullptr) {
-    observer_->add(flight.message->header.source,
-                   obs::Counter::kMessagesRetransmitted);
+    observer_->add(key.source, obs::Counter::kMessagesRetransmitted);
   }
   if (flight_recorder_ != nullptr) {
-    const MessageHeader& header = flight.message->header;
-    flight_recorder_->record(header.source, engine_.now(),
-                             obs::FrKind::kRetransmit, header.dest, flight.seq,
+    flight_recorder_->record(key.source, engine_.now(),
+                             obs::FrKind::kRetransmit, key.dest, key.seq,
                              static_cast<std::uint64_t>(flight.attempts));
   }
   flight.rto_us *= params_.reliability.backoff;
-  start_attempt(id);
+  start_attempt(key);
 }
 
 void Network::send_reliable(Message message, SendCallbacks callbacks) {
@@ -588,18 +564,18 @@ void Network::send_reliable(Message message, SendCallbacks callbacks) {
       static_cast<double>(message.size_bytes()) /
       params_.bandwidth_bytes_per_us;
   const double stage_at = engine_.now() + inject;
-  const std::uint64_t id =
+  const FlightKey key =
       admit_flight(std::move(message), std::move(callbacks), inject);
-  engine_.post(stage_at, [this, id] {
-    ReliableShard& cell = rel_shard_of(id);
-    auto it = cell.inflight.find(id);
-    CAF2_ASSERT(it != cell.inflight.end(), "reliable stage: unknown flight");
+  engine_.post(stage_at, [this, key] {
+    SenderLink& link = sender_link(key.source, key.dest);
+    auto it = link.inflight.find(key.seq);
+    CAF2_ASSERT(it != link.inflight.end(), "reliable stage: unknown flight");
     if (it->second.callbacks.on_staged) {
       auto staged = std::move(it->second.callbacks.on_staged);
       it->second.callbacks.on_staged = nullptr;
       staged();
     }
-    start_attempt(id);
+    start_attempt(key);
   });
 }
 
@@ -619,9 +595,8 @@ void Network::send_staged_reliable(
       callbacks.on_staged();
       callbacks.on_staged = nullptr;
     }
-    const std::uint64_t id =
-        admit_flight(std::move(message), std::move(callbacks), inject);
-    start_attempt(id);
+    start_attempt(
+        admit_flight(std::move(message), std::move(callbacks), inject));
   });
 }
 
@@ -631,26 +606,35 @@ void Network::fill_postmortem(obs::PmNetwork& net) const {
   net.faults = fault_stats();
   net.inflight_total = inflight_reliable();
   net.inflight.clear();
-  // Cells in shard order, flights by id within a cell: a deterministic
-  // listing for a fixed shard count.
-  for (const ReliableShard& cell : rel_shards_) {
-    for (const auto& [id, flight] : cell.inflight) {
-      if (net.inflight.size() == obs::kMaxListedFlights) {
-        return;
+  // Sources by rank, each source's links by destination, flights by
+  // sequence number: the same listing on every shard count.
+  for (std::size_t source = 0; source < send_links_.size(); ++source) {
+    std::vector<std::pair<int, const SenderLink*>> links;
+    for (const auto& [dest, link] : send_links_[source]) {
+      if (!link.inflight.empty()) {
+        links.emplace_back(dest, &link);
       }
-      const MessageHeader& header = flight.message->header;
-      obs::PmFlight pm;
-      pm.source = header.source;
-      pm.dest = header.dest;
-      pm.seq = flight.seq;
-      pm.ordinal = flight.ordinal;
-      pm.attempts = flight.attempts;
-      pm.max_attempts = params_.reliability.max_attempts;
-      pm.handler = header.handler;
-      pm.bytes = flight.message->size_bytes();
-      pm.first_sent_us = flight.first_sent_us;
-      pm.rto_us = flight.rto_us;
-      net.inflight.push_back(pm);
+    }
+    std::sort(links.begin(), links.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [dest, link] : links) {
+      for (const auto& [seq, flight] : link->inflight) {
+        if (net.inflight.size() == obs::kMaxListedFlights) {
+          return;
+        }
+        obs::PmFlight pm;
+        pm.source = static_cast<int>(source);
+        pm.dest = dest;
+        pm.seq = seq;
+        pm.ordinal = seq + 1;
+        pm.attempts = flight.attempts;
+        pm.max_attempts = params_.reliability.max_attempts;
+        pm.handler = flight.message->header.handler;
+        pm.bytes = flight.message->size_bytes();
+        pm.first_sent_us = flight.first_sent_us;
+        pm.rto_us = flight.rto_us;
+        net.inflight.push_back(pm);
+      }
     }
   }
 }

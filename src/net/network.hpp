@@ -49,26 +49,26 @@
 ///    destination shares the source's shard;
 ///  - ack: the delivery posts it back with Engine::post_for(source, ack_at),
 ///    carrying the flight span id so the ack wake gets its parent edge.
-/// The timing plan is drawn at initiation from the source shard's jitter
-/// stream (one stream per shard keeps multi-shard runs deterministic for a
-/// fixed shard count). deliver_at >= now + latency and ack_at = delivery +
-/// ack latency, and the runtime sets the lookahead to min(latency, ack
-/// latency), so both cross-shard posts keep the conservative-window
-/// contract.
+/// The timing plan is drawn at initiation from the source *image's* jitter
+/// stream. A send runs on its source image's shard, so the stream needs no
+/// lock, and an image's draws follow its own sends on every shard count.
+/// deliver_at >= now + latency and ack_at = delivery + ack latency, and the
+/// runtime sets the lookahead to min(latency, ack latency), so both
+/// cross-shard posts keep the conservative-window contract.
 ///
 /// The reliable-delivery protocol walks the same chain (DESIGN.md §4.12).
-/// Protocol state is owned by the *source* shard: retained flights, flight
-/// ids, retransmit timers, and the fault counters live in per-shard cells
-/// (ReliableShard), and each shard rolls its attempts from its own fault
-/// stream. Link state is split in two halves created on first use: the
-/// sender half (next_seq, initiated) is kept per source image and only ever
-/// touched by the source image's shard, the receiver half (dedup_floor, seen)
-/// per destination image and only touched by the destination's shard. Neither
-/// needs a lock, and an image holds one record per peer it talks to, not one
-/// per image. Every fault decision of an attempt, both ack losses included,
-/// is rolled and charged at the sender; the delivery carries its metadata in
-/// the closure, never reads the sender-owned flight record, and posts
-/// handle_ack back through post_for unless its ack was rolled lost.
+/// Its state lives in the two halves of each (source, dest) link, created
+/// on first use. The sender half (next_seq, the unacknowledged flights by
+/// sequence number, the fault counters) is kept per source image and only
+/// ever touched by the source image's shard; the receiver half
+/// (dedup_floor, seen, duplicates suppressed) per destination image and only
+/// touched by the destination's shard. Neither needs a lock, and an image
+/// holds one record per peer it talks to, not one per image. Every fault
+/// decision of an attempt, both ack losses included, is rolled from the
+/// source image's fault stream and charged at the sender. Closures name a
+/// flight by (source, dest, seq); the delivery carries its metadata in the
+/// closure, never reads the sender-owned flight record, and posts handle_ack
+/// back through post_for unless its ack was rolled lost.
 
 #include <atomic>
 #include <cstdint>
@@ -157,18 +157,14 @@ class Network {
   /// True when the reliable-delivery protocol is layered in for this run.
   bool reliable() const { return reliable_; }
 
-  /// Injected-fault and protocol counters, aggregated over shards (all zero
-  /// when reliable() is off).
+  /// Injected-fault and protocol counters summed over links (all zero when
+  /// reliable() is off). Deliveries dropped/duplicated/delayed, ack losses,
+  /// retransmits and scripted faults are counted in the sender halves,
+  /// duplicates_suppressed in the receiver halves.
   FaultStats fault_stats() const;
 
-  /// Per-shard fault/protocol counters (one entry per engine shard).
-  /// Deliveries dropped/duplicated/delayed, ack
-  /// losses, and retransmits are charged to the *source* shard;
-  /// duplicates_suppressed to the destination shard.
-  std::vector<FaultStats> shard_fault_stats() const;
-
   /// Number of reliable messages currently unacknowledged (summed over
-  /// shards).
+  /// links).
   std::size_t inflight_reliable() const;
 
   /// Reliable-link records currently held: sender halves summed over source
@@ -181,7 +177,8 @@ class Network {
   LinkRecords link_records() const;
 
   /// Snapshot the network's postmortem section: reliability mode, in-flight
-  /// reliable messages (first obs::kMaxListedFlights of them), fault stats.
+  /// reliable messages (the first obs::kMaxListedFlights of them in
+  /// (source, dest, seq) order), fault stats.
   void fill_postmortem(obs::PmNetwork& net) const;
 
   /// Attach an observability recorder (nullptr detaches; see obs/obs.hpp).
@@ -204,13 +201,12 @@ class Network {
     double deliver_at;
     double ack_at;
   };
-  Timing plan(double now, std::size_t bytes);
+  Timing plan(int source, double now, std::size_t bytes);
 
-  /// The calling shard's jitter stream, which timing draws come from.
-  Xoshiro256ss& jitter_rng();
-
-  /// The calling shard's fault stream, which attempt decisions come from.
-  Xoshiro256ss& fault_rng();
+  /// Image \p source's stream in \p streams (jitter_ or fault_). Only the
+  /// source image's shard draws from it, which is what keeps the streams
+  /// race-free; the accessor checks that.
+  Xoshiro256ss& source_stream(std::vector<Xoshiro256ss>& streams, int source);
 
   /// One in-flight best-effort message: the message plus its completion
   /// callbacks and timing plan. It moves from the stage closure into the
@@ -240,25 +236,6 @@ class Network {
 
   /// --- reliable-delivery protocol ------------------------------------------
 
-  /// Sender half of a (source, dest) link: assigns sequence numbers and
-  /// initiation ordinals. Touched only by the source image's shard.
-  struct SenderLink {
-    std::uint64_t next_seq = 0;
-    std::uint64_t initiated = 0;
-  };
-
-  /// Receiver half of a (source, dest) link: the dedup window, i.e. the set
-  /// of seen sequence numbers at or above `dedup_floor`, compacted by
-  /// advancing the floor over contiguous runs (everything below the floor
-  /// has been seen). Touched only by the destination image's shard.
-  struct ReceiverLink {
-    std::uint64_t dedup_floor = 0;
-    std::set<std::uint64_t> seen;
-
-    /// First sighting of \p seq? (Inserts and compacts when it is.)
-    bool accept(std::uint64_t seq);
-  };
-
   /// Fault decisions and timing draws for one delivery attempt. A fixed
   /// number of RNG values is consumed per attempt regardless of outcomes, so
   /// the fault stream stays aligned across configuration tweaks.
@@ -276,8 +253,6 @@ class Network {
   struct ReliableFlight {
     std::shared_ptr<const Message> message;
     SendCallbacks callbacks;
-    std::uint64_t seq = 0;      ///< per-link sequence number
-    std::uint64_t ordinal = 0;  ///< per-link initiation ordinal (1-based)
     int attempts = 0;           ///< delivery attempts made so far
     double first_sent_us = 0.0;
     double inject_us = 0.0;     ///< injection cost charged per attempt
@@ -289,42 +264,74 @@ class Network {
     double expected_ack_us = 0.0;
   };
 
+  /// Names one reliable flight from any shard: its link and its link
+  /// sequence number (seq + 1 is the flight's 1-based initiation ordinal on
+  /// the link, which scripted faults and reports use).
+  struct FlightKey {
+    int source = 0;
+    int dest = 0;
+    std::uint64_t seq = 0;
+  };
+
+  /// Sender half of a (source, dest) link: assigns sequence numbers,
+  /// retains the unacknowledged flights, and counts the faults rolled for
+  /// them. Touched only by the source image's shard.
+  struct SenderLink {
+    std::uint64_t next_seq = 0;
+    std::map<std::uint64_t, ReliableFlight> inflight;  ///< by sequence number
+    FaultStats faults;  ///< duplicates_suppressed lives in the receiver half
+  };
+
+  /// Receiver half of a (source, dest) link: the dedup window, i.e. the set
+  /// of seen sequence numbers at or above `dedup_floor`, compacted by
+  /// advancing the floor over contiguous runs (everything below the floor
+  /// has been seen). Touched only by the destination image's shard.
+  struct ReceiverLink {
+    std::uint64_t dedup_floor = 0;
+    std::set<std::uint64_t> seen;
+    std::uint64_t duplicates_suppressed = 0;
+
+    /// First sighting of \p seq? (Inserts and compacts when it is.)
+    bool accept(std::uint64_t seq);
+  };
+
   void send_reliable(Message message, SendCallbacks callbacks);
   void send_staged_reliable(MessageHeader header, std::size_t size_hint,
                             std::function<std::vector<std::uint8_t>()> read,
                             SendCallbacks callbacks);
 
-  /// Register a new flight (assigns link seq + ordinal) in the calling
-  /// shard's cell and return its id (source shard in the top 16 bits, cell-
-  /// local counter below — serial ids are the plain counter).
-  std::uint64_t admit_flight(Message message, SendCallbacks callbacks,
-                             double inject_us);
+  /// Register a new flight in its sender half (assigns the link sequence
+  /// number) and return its key.
+  FlightKey admit_flight(Message message, SendCallbacks callbacks,
+                         double inject_us);
 
-  /// Launch the next delivery attempt of flight \p id: roll faults, post the
-  /// delivery (and duplicate) and arm the retransmit timer.
-  void start_attempt(std::uint64_t id);
+  /// Launch the next delivery attempt of flight \p key: roll faults, post
+  /// the delivery (and duplicate) and arm the retransmit timer.
+  void start_attempt(const FlightKey& key);
 
-  AttemptFaults roll_faults(const ReliableFlight& flight);
+  /// Roll one attempt's faults from the source image's streams; scripted
+  /// faults that fire are counted in \p stats.
+  AttemptFaults roll_faults(const FlightKey& key, const ReliableFlight& flight,
+                            FaultStats& stats);
 
-  /// Post one physical delivery (primary or duplicate) of flight \p id at
+  /// Post one physical delivery (primary or duplicate) of flight \p key at
   /// \p at. An ack rolled lost is charged here, at the sender.
-  void post_attempt(std::uint64_t id, const ReliableFlight& flight, double at,
-                    bool ack_dropped);
+  void post_attempt(const FlightKey& key, const ReliableFlight& flight,
+                    double at, bool ack_dropped);
 
   /// Receiver side of one physical delivery: dedup, land, and post
   /// handle_ack back to the source unless \p ack_dropped. All metadata rides
   /// in the arguments; the sender-owned flight record is never touched.
   void deliver_attempt(const std::shared_ptr<const Message>& message,
-                       std::uint64_t id, std::uint64_t seq,
-                       double first_sent_us, double expected_deliver_us,
-                       bool ack_dropped);
+                       const FlightKey& key, double first_sent_us,
+                       double expected_deliver_us, bool ack_dropped);
 
   /// Sender side of one acknowledgement; idempotent (late/duplicate acks of
   /// an already-completed flight are ignored). \p span is the delivery's
   /// flight span (0 for a deduped duplicate or without an observer).
-  void handle_ack(std::uint64_t id, std::uint64_t span);
+  void handle_ack(const FlightKey& key, std::uint64_t span);
 
-  void on_retransmit_timer(std::uint64_t id, int attempt);
+  void on_retransmit_timer(const FlightKey& key, int attempt);
 
   /// Default initial retransmit timeout: a little over twice the worst-case
   /// round trip, including the largest configured fault delay.
@@ -336,10 +343,8 @@ class Network {
 
   sim::Engine& engine_;
   NetworkParams params_;
-  /// One jitter stream per shard: each shard's timing draws are then a pure
-  /// function of that shard's deterministic execution, independent of
-  /// cross-shard interleaving.
-  std::vector<Xoshiro256ss> shard_jitter_;
+  /// jitter_[x]: image x's jitter stream (empty when jitter_us is 0).
+  std::vector<Xoshiro256ss> jitter_;
   std::vector<Mailbox> mailboxes_;
   /// traffic_[x] is only ever written by image x's shard (out-fields at the
   /// source, in-fields at the destination), so plain counters stay safe.
@@ -350,35 +355,13 @@ class Network {
 
   // reliable-delivery state (empty when reliable_ is false)
   bool reliable_ = false;
-  bool faults_active_ = false;
-  /// One fault stream per shard, mirroring shard_jitter_: each shard's
-  /// attempt decisions are a pure function of its own deterministic
-  /// execution.
-  std::vector<Xoshiro256ss> shard_fault_;
+  /// fault_[x]: image x's fault stream, independent of its jitter stream.
+  std::vector<Xoshiro256ss> fault_;
   /// send_links_[source][dest] and recv_links_[dest][source]: one map per
   /// image (size() entries when reliable_, else empty), each holding only the
   /// peers that image has sent to or received from.
   std::vector<std::unordered_map<int, SenderLink>> send_links_;
   std::vector<std::unordered_map<int, ReceiverLink>> recv_links_;
-  /// Per-shard reliable-protocol cell: the flights retained by this (source)
-  /// shard, its flight-id counter, and its fault counters. Flight ids are
-  /// (shard << 48) | local, so id >> 48 recovers the owning cell from
-  /// anywhere (a one-shard run uses cell 0 and gets the plain counter).
-  struct ReliableShard {
-    std::map<std::uint64_t, ReliableFlight> inflight;
-    std::uint64_t next_flight_id = 0;
-    FaultStats stats;
-  };
-  std::vector<ReliableShard> rel_shards_;  ///< engine shard count cells (>= 1)
-
-  /// The calling shard's protocol cell.
-  ReliableShard& rel_shard() {
-    return rel_shards_[static_cast<std::size_t>(engine_.current_shard())];
-  }
-  /// The cell owning flight \p id (its source shard's).
-  ReliableShard& rel_shard_of(std::uint64_t id) {
-    return rel_shards_[static_cast<std::size_t>(id >> 48)];
-  }
 
   double max_extra_delay_us_ = 0.0;
   obs::Recorder* observer_ = nullptr;

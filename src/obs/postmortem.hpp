@@ -130,7 +130,7 @@ struct PmFlight {
   int source = -1;
   int dest = -1;
   std::uint64_t seq = 0;      ///< per-link sequence number
-  std::uint64_t ordinal = 0;  ///< global send ordinal
+  std::uint64_t ordinal = 0;  ///< per-link initiation ordinal (seq + 1)
   int attempts = 0;
   int max_attempts = 0;
   int handler = -1;

@@ -80,11 +80,12 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   // network's two hops: a cross-shard delivery lands at least one wire
   // latency after its send, and the ack it posts back lands one ack latency
   // after the delivery (net/network.hpp). With latency 10 us and ack latency
-  // 2 us the windows are 2 us wide. Reliable delivery and obs span capture
-  // both run sharded too (per-shard protocol cells and recorder net lanes,
-  // DESIGN.md §4.12); a zero wire or ack latency (the "instant" network, or
-  // ack_latency_us = 0 alone) leaves no positive lookahead and forces the
-  // engine back to one shard.
+  // 2 us the windows are 2 us wide. The exit rendezvous hops by the same
+  // value on every shard count. Reliable delivery and obs span capture both
+  // run sharded too (per-link protocol state and per-shard recorder net
+  // lanes, DESIGN.md §4.12); a zero wire or ack latency (the "instant"
+  // network, or ack_latency_us = 0 alone) leaves no positive lookahead and
+  // forces the engine back to one shard.
   engine_options.lookahead_us = std::min(
       options_.net.latency_us, options_.net.effective_ack_latency_us());
   engine_ = std::make_unique<sim::Engine>(options_.num_images,
@@ -157,11 +158,12 @@ void Runtime::run(const std::function<void()>& body) {
       // Collective exit: wait until every image finished its body so that
       // in-flight messages (e.g. steals landing on an already-done image)
       // still find a live progress engine. The arrival funnels to image 0's
-      // shard one lookahead hop ahead (the cross-shard minimum); the
-      // completing arrival fans the release out, again one hop ahead,
-      // through per-image flags that only the target image's own shard ever
-      // writes. Every predicate read below is then a function of virtual
-      // time alone.
+      // shard one lookahead hop ahead (the cross-shard minimum, the same hop
+      // on every shard count, so a run ends at one virtual time whatever the
+      // shard count); the completing arrival fans the release out, again one
+      // hop ahead, through per-image flags that only the target image's own
+      // shard ever writes. Every predicate read below is then a function of
+      // virtual time alone.
       sim::Engine* eng = engine_.get();
       const double hop = eng->lookahead_us();
       const int n = num_images();

@@ -73,17 +73,13 @@ Engine::Engine(int participants, EngineOptions options)
     : options_(std::move(options)) {
   CAF2_REQUIRE(participants > 0, "Engine needs at least one participant");
   int shard_count = resolve_shards(options_.shards);
-  lookahead_ = options_.lookahead_us;
-  if (lookahead_ <= 0.0) {
+  if (options_.lookahead_us <= 0.0) {
     shard_count = 1;  // no conservative window exists -> one shard
   }
   shard_count = std::min(shard_count, participants);
   // A lone shard has no peer to bound its window.
-  if (shard_count == 1) {
-    lookahead_ = 0.0;
-  }
   window_span_ = shard_count == 1 ? std::numeric_limits<double>::infinity()
-                                  : lookahead_;
+                                  : options_.lookahead_us;
   if (options_.watchdog_quiet_us > 0.0) {
     window_span_ = std::min(window_span_, options_.watchdog_quiet_us);
   }
@@ -536,7 +532,7 @@ void Engine::post_for_call(int participant, double at, InlineFn fn) {
   const int dest = shard_of(participant);
   if (dest != current_shard()) {
     CAF2_ASSERT(at >= calling_shard().now_us.load(std::memory_order_relaxed) +
-                          lookahead_ - 1e-9,
+                          options_.lookahead_us - 1e-9,
                 "cross-shard event violates the conservative lookahead window");
     cross_post(dest, at, std::move(fn));
     return;

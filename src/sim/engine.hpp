@@ -53,10 +53,12 @@
 /// shards (unblock() is shard-local). A one-shard engine has no peer, so its
 /// span is unbounded and the whole run is one window. When the quiet-period
 /// watchdog is on, every span is capped at watchdog_quiet_us so the barrier
-/// sees every quiet gap. Any fixed shard count is deterministic across
-/// repeats; different shard counts may order simultaneous events
-/// differently and so produce different (each individually deterministic)
-/// virtual schedules. Sharding requires a positive lookahead; configurations
+/// sees every quiet gap. Every run is deterministic across repeats. No layer
+/// above the engine keys its state by shard, so a program runs one virtual
+/// schedule on every shard count; only exactly simultaneous events staged
+/// from different shards may merge in a different order, and the scheduling
+/// counters (context switches, windows, stalls, per-shard event counts)
+/// differ. Sharding requires a positive lookahead; configurations
 /// without one (zero wire or ack latency) run on one shard. The
 /// reliable-delivery protocol and obs span capture both run sharded
 /// (DESIGN.md §4.12).
@@ -313,8 +315,10 @@ class Engine {
   /// or after the run, when every shard is quiesced).
   int current_shard() const;
 
-  /// Conservative lookahead window (0 for one shard).
-  double lookahead_us() const { return lookahead_; }
+  /// Conservative lookahead: the configured EngineOptions::lookahead_us on
+  /// every shard count (one shard still runs one unbounded window; the
+  /// runtime's exit rendezvous hops by this value on every shard count).
+  double lookahead_us() const { return options_.lookahead_us; }
 
   /// Window advances performed so far (1 for the initial window; a
   /// one-shard run without a watchdog is a single window).
@@ -520,7 +524,6 @@ class Engine {
   std::vector<std::int32_t> shard_index_;  ///< participant id -> shard
   std::vector<std::unique_ptr<Participant>> participants_;
   EngineOptions options_;
-  double lookahead_ = 0.0;
   /// Width of every window past the global minimum: the lookahead, or
   /// unbounded for one shard, capped at the watchdog quiet period.
   double window_span_ = 0.0;

@@ -107,6 +107,8 @@ struct FaultStats {
   std::uint64_t retransmits = 0;            ///< timer-driven resends
   std::uint64_t duplicates_suppressed = 0;  ///< receiver dedup hits
   std::uint64_t scripted_applied = 0;       ///< one-shot faults that fired
+
+  bool operator==(const FaultStats&) const = default;
 };
 
 /// Interconnect model.
@@ -227,13 +229,14 @@ struct RuntimeOptions {
   /// Number of engine shards: worker threads executing the conservative
   /// parallel-DES scheme of DESIGN.md §4.11. <= 0 means "resolve from the
   /// environment": CAF2_SIM_SHARDS when set, one shard otherwise; an
-  /// explicit value >= 1 always wins over the environment. Any fixed shard
-  /// count is deterministic run to run. The runtime derives the conservative
-  /// lookahead from the network's wire and ack latencies (the smaller one);
-  /// reliable delivery, fault plans, and obs span capture all run sharded
-  /// (per-shard protocol cells and recorder net lanes, DESIGN.md §4.12).
-  /// Only a zero wire or ack latency leaves no positive lookahead and falls
-  /// back to a single shard.
+  /// explicit value >= 1 always wins over the environment. The shard count
+  /// buys host speed only: a run is deterministic run to run and runs one
+  /// virtual schedule on every shard count (DESIGN.md §4.12). The runtime
+  /// derives the conservative lookahead from the network's wire and ack
+  /// latencies (the smaller one); reliable delivery, fault plans, and obs
+  /// span capture all run sharded (per-image streams, per-link protocol
+  /// state, per-shard recorder net lanes). Only a zero wire or ack latency
+  /// leaves no positive lookahead and falls back to a single shard.
   int shards = 0;
 
   /// Virtual-time watchdog quiet period (microseconds). When > 0 and every

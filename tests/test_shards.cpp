@@ -432,7 +432,7 @@ RuntimeOptions faulty_shard_options(int images, int shards,
 
 TEST(Shards, FaultPlansRunShardedAndDeterministically) {
   // Reliable delivery (retransmission, dedup, ack loss) runs under the
-  // sharded engine with per-shard protocol cells: the run must keep
+  // sharded engine with per-link protocol state: the run must keep
   // RunStats.shards > 1 and stay bit-identical across repeats.
   const RuntimeOptions options = faulty_shard_options(8, 4, 29);
   const Fingerprint a = fingerprint_run(options, mixed_workload);
@@ -448,22 +448,56 @@ TEST(Shards, FaultPlansRunShardedAndDeterministically) {
   // The plan fired across the whole fault surface.
   EXPECT_GT(stats.faults.deliveries_dropped, 0u);
   EXPECT_GT(stats.faults.retransmits, 0u);
-  // Per-shard counters partition the totals.
-  ASSERT_EQ(stats.shard_faults.size(), 4u);
-  FaultStats summed;
-  for (const FaultStats& cell : stats.shard_faults) {
-    summed.deliveries_dropped += cell.deliveries_dropped;
-    summed.deliveries_duplicated += cell.deliveries_duplicated;
-    summed.deliveries_delayed += cell.deliveries_delayed;
-    summed.acks_dropped += cell.acks_dropped;
-    summed.retransmits += cell.retransmits;
-    summed.duplicates_suppressed += cell.duplicates_suppressed;
-    summed.scripted_applied += cell.scripted_applied;
+}
+
+/// --- every shard count: one virtual schedule (DESIGN.md §4.12) -------------
+
+/// What a run of mixed_workload leaves that must not depend on the shard
+/// count: its virtual end, its event count, its fault counters and every
+/// image's slots.
+struct Schedule {
+  double virtual_us = 0.0;
+  std::uint64_t events = 0;
+  FaultStats faults;
+  std::vector<std::vector<long>> slots;
+};
+
+Schedule schedule_at(RuntimeOptions options, int shards) {
+  options.shards = shards;
+  Schedule schedule;
+  schedule.slots.resize(static_cast<std::size_t>(options.num_images));
+  const RunStats stats = run_stats(
+      options, [&] { schedule.slots[this_image()] = mixed_workload_slots(); });
+  EXPECT_EQ(stats.shards, shards);
+  schedule.virtual_us = stats.virtual_us;
+  schedule.events = stats.events;
+  schedule.faults = stats.faults;
+  return schedule;
+}
+
+TEST(Shards, EveryShardCountRunsOneSchedule) {
+  // Jitter and fault draws come from per-image streams, reliable state lives
+  // in the links, and the exit rendezvous hops by the configured lookahead
+  // on every shard count: the shard count buys host speed and changes
+  // nothing the simulated program sees.
+  const RuntimeOptions jittered = shard_options(8, 1, 23);
+  const RuntimeOptions lossy = faulty_shard_options(8, 1, 23);
+  for (const RuntimeOptions& options : {jittered, lossy}) {
+    const bool faulty = options.net.reliable_delivery();
+    const Schedule one = schedule_at(options, 1);
+    EXPECT_EQ(one.faults.deliveries_dropped > 0, faulty);
+    for (const int shards : {2, 4}) {
+      const Schedule other = schedule_at(options, shards);
+      EXPECT_EQ(other.virtual_us, one.virtual_us)
+          << "shards=" << shards << " faulty=" << faulty;
+      EXPECT_EQ(other.events, one.events)
+          << "shards=" << shards << " faulty=" << faulty;
+      EXPECT_EQ(other.faults, one.faults)
+          << "shards=" << shards << " faulty=" << faulty;
+      EXPECT_EQ(other.slots, one.slots)
+          << "shards=" << shards << " faulty=" << faulty;
+    }
   }
-  EXPECT_EQ(summed.deliveries_dropped, stats.faults.deliveries_dropped);
-  EXPECT_EQ(summed.retransmits, stats.faults.retransmits);
-  EXPECT_EQ(summed.duplicates_suppressed, stats.faults.duplicates_suppressed);
-  EXPECT_EQ(summed.acks_dropped, stats.faults.acks_dropped);
 }
 
 /// --- obs span capture under sharding (DESIGN.md §4.12) ----------------------
